@@ -120,9 +120,10 @@ def test_iteration_is_insertion_ordered():
 
 def test_scenario_generation_is_hash_seed_independent():
     # End to end: same config, same bytes, whatever the hash seed.
-    import os
     import subprocess
     import sys
+
+    from tests._subprocess import child_env
 
     script = (
         "from repro.ibench.config import ScenarioConfig\n"
@@ -133,14 +134,13 @@ def test_scenario_generation_is_hash_seed_independent():
     )
     outputs = set()
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
         outputs.add(
             subprocess.run(
                 [sys.executable, "-c", script],
                 capture_output=True,
                 text=True,
                 check=True,
-                env=env,
+                env=child_env(PYTHONHASHSEED=seed),
             ).stdout
         )
     assert len(outputs) == 1

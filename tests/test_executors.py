@@ -15,7 +15,6 @@ import sys
 import textwrap
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 
@@ -26,6 +25,7 @@ from repro.executors import (
     ThreadExecutor,
     resolve_executor,
 )
+from tests._subprocess import child_env
 
 # Module-level so process workers (fork or spawn-with-import) can
 # unpickle them by reference.
@@ -465,13 +465,9 @@ def test_nested_persistent_pools_exit_cleanly():
         print("clean-exit")
         """
     )
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-    )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env=env,
+        env=child_env(),
         timeout=120,  # the regression is an exit-time deadlock
         capture_output=True,
         text=True,
