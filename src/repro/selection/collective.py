@@ -19,7 +19,9 @@ All terms are jointly minimized by consensus ADMM — the *collective* part:
 candidates compete and cooperate through the shared ``explained`` atoms
 rather than being scored independently.  The fractional MAP state is then
 rounded (threshold sweep + 1-flip local search, both scored by the exact
-discrete F) into the final selection.
+discrete F through the incremental engine
+:class:`~repro.selection.objective.IncrementalObjective`) into the final
+selection.
 
 Error facts shared by several candidates (possible for full tgds that
 produce identical ground facts) are mediated through an auxiliary
@@ -83,8 +85,11 @@ from repro.psl.sharding import (
 from repro.psl.store import GroundingStore, StoredGrounding
 from repro.selection.exact import SelectionResult
 from repro.selection.metrics import SelectionProblem
+# objective_value stays a name of this module: perfbench's traced run
+# wraps ``collective.objective_value`` as its ``objective`` layer.
 from repro.selection.objective import (
     DEFAULT_WEIGHTS,
+    IncrementalObjective,
     ObjectiveWeights,
     objective_value,
 )
@@ -1266,17 +1271,15 @@ def solve_collective(
         }
     )
 
-    def discrete_objective(selected: frozenset) -> Fraction:
-        return objective_value(problem, selected, settings.weights)
-
+    engine = IncrementalObjective(problem, settings.weights)
     selected = round_solution(
         fractional,
-        discrete_objective,
+        engine.value_of,
         with_local_search=settings.rounding_local_search,
     )
     return CollectiveResult(
         selected=frozenset(selected),
-        objective=discrete_objective(frozenset(selected)),
+        objective=engine.value_of(selected),
         fractional=fractional,
         fractional_aux=fractional_aux,
         iterations=inference.iterations,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from repro.datamodel.instance import Fact
 from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import (
     DEFAULT_WEIGHTS,
@@ -70,48 +69,16 @@ class _BranchAndBound:
     """DFS over include/exclude decisions with an admissible bound."""
 
     def __init__(self, problem: SelectionProblem, weights: ObjectiveWeights):
-        self._problem = problem
-        self._weights = weights
         # Decide high-coverage candidates first: they tighten the bound fastest.
         self._order = sorted(
             range(problem.num_candidates),
             key=lambda i: -sum(problem.covers[i].values()),
         )
-        # suffix_best[k][t] = best cover of t among still-undecided candidates
-        # order[k:]; suffix_best[n] is empty.
-        n = len(self._order)
-        self._suffix_best: list[dict[Fact, Fraction]] = [{} for _ in range(n + 1)]
-        for k in range(n - 1, -1, -1):
-            merged = dict(self._suffix_best[k + 1])
-            for t, d in problem.covers[self._order[k]].items():
-                if d > merged.get(t, Fraction(0)):
-                    merged[t] = d
-            self._suffix_best[k] = merged
         self._incremental = IncrementalObjective(problem, weights)
+        self._suffix_covers = self._incremental.suffix_covers(self._order)
         self._best_value = self._incremental.value
         self._best_set: frozenset[int] = frozenset()
         self._nodes = 0
-
-    def _lower_bound(self, depth: int) -> Fraction:
-        """Objective if all remaining coverage came for free (admissible)."""
-        problem, w = self._problem, self._weights
-        inc = self._incremental
-        optimistic_unexplained = Fraction(0)
-        suffix = self._suffix_best[depth]
-        selected = inc.selected
-        for t in problem.j_facts:
-            cover = problem.max_cover(t, selected)
-            future = suffix.get(t)
-            if future is not None and future > cover:
-                cover = future
-            optimistic_unexplained += 1 - cover
-        current = inc.value
-        achieved_unexplained = (
-            current
-            - w.errors * Fraction(len(problem.union_error_facts(selected)))
-            - w.size * Fraction(sum(problem.sizes[i] for i in selected))
-        )
-        return current - achieved_unexplained + w.explains * optimistic_unexplained
 
     def solve(self) -> SelectionResult:
         self._dfs(0)
@@ -125,7 +92,7 @@ class _BranchAndBound:
             self._best_set = inc.selected
         if depth == len(self._order):
             return
-        if self._lower_bound(depth) >= self._best_value:
+        if inc.lower_bound(self._suffix_covers[depth]) >= self._best_value:
             return
         i = self._order[depth]
         # Branch 1: include candidate i (only promising when it covers anything

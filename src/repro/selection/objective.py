@@ -15,6 +15,7 @@ reproduced to the digit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -97,10 +98,21 @@ def objective_value(
 
 
 class IncrementalObjective:
-    """Incrementally maintained objective for search algorithms.
+    """F(M) maintained under single-candidate flips — the one search engine.
 
-    Supports O(changed-facts) add/remove of one candidate, which makes
-    greedy and branch-and-bound search over thousands of moves cheap.
+    Greedy, k-best, branch and bound and collective rounding all evaluate
+    the objective through this class; :func:`objective_breakdown` stays
+    the from-scratch definition it is checked against.
+
+    At construction J's facts are interned to dense ids in ``j_facts``
+    order and error facts in candidate order, and cover degrees become
+    integers over the common denominator of all degrees.  Each candidate
+    is then a list of ``(fact_id, degree)`` pairs plus a list of error
+    ids.  The engine keeps, per J fact, how many selected candidates
+    cover it at each degree and the current best degree; per error fact,
+    how many selected candidates create it.  A flip of candidate i costs
+    O(|covers(i)| + |errors(i)|): no ``Fact`` hashing, no scan over the
+    selection.  ``Fraction``s are built only for reported values.
     """
 
     def __init__(
@@ -108,12 +120,37 @@ class IncrementalObjective:
         problem: SelectionProblem,
         weights: ObjectiveWeights = DEFAULT_WEIGHTS,
     ):
-        self._problem = problem
         self._weights = weights
+        fact_ids = {t: k for k, t in enumerate(problem.j_facts)}
+        # F sums over j_facts only; like objective_breakdown, ignore a
+        # cover entry for any other fact.
+        tables = [
+            [(fact_ids[t], d) for t, d in table.items() if t in fact_ids]
+            for table in problem.covers
+        ]
+        scale = self._scale = math.lcm(
+            1, *{d.denominator for table in tables for _, d in table}
+        )
+        self._covers: list[list[tuple[int, int]]] = [
+            [(k, int(d * scale)) for k, d in table] for table in tables
+        ]
+        error_ids: dict = {}
+        # Ids only index the owner counts, so the set order they are
+        # handed out in cannot change any value.
+        self._errors: list[list[int]] = [
+            [error_ids.setdefault(f, len(error_ids)) for f in errs]
+            for errs in problem.error_facts
+        ]
+        self._sizes = list(problem.sizes)
         self._selected: set[int] = set()
-        self._error_owners: dict = {}
-        self._unexplained = Fraction(len(problem.j_facts))
-        self._size = Fraction(0)
+        self._degree_counts: list[dict[int, int]] = [{} for _ in fact_ids]
+        self._best = [0] * len(fact_ids)
+        self._owners = [0] * len(error_ids)
+        # F's three raw terms: unexplained J mass (in units of 1/scale),
+        # distinct error facts, summed size.
+        self._unexplained = scale * len(problem.j_facts)
+        self._num_errors = 0
+        self._size = 0
 
     @property
     def selected(self) -> frozenset[int]:
@@ -123,8 +160,8 @@ class IncrementalObjective:
     def value(self) -> Fraction:
         w = self._weights
         return (
-            w.explains * self._unexplained
-            + w.errors * Fraction(len(self._error_owners))
+            w.explains * Fraction(self._unexplained, self._scale)
+            + w.errors * self._num_errors
             + w.size * self._size
         )
 
@@ -132,49 +169,99 @@ class IncrementalObjective:
         """Select candidate *i* (no-op if already selected)."""
         if i in self._selected:
             return
-        problem = self._problem
-        for t, degree in problem.covers[i].items():
-            old = problem.max_cover(t, self._selected)
-            if degree > old:
-                self._unexplained -= degree - old
-        for f in problem.error_facts[i]:
-            self._error_owners.setdefault(f, set()).add(i)
-        self._size += problem.sizes[i]
         self._selected.add(i)
+        best, counts = self._best, self._degree_counts
+        for k, d in self._covers[i]:
+            row = counts[k]
+            row[d] = row.get(d, 0) + 1
+            if d > best[k]:
+                self._unexplained -= d - best[k]
+                best[k] = d
+        owners = self._owners
+        for e in self._errors[i]:
+            if not owners[e]:
+                self._num_errors += 1
+            owners[e] += 1
+        self._size += self._sizes[i]
 
     def remove(self, i: int) -> None:
         """Deselect candidate *i* (no-op if not selected)."""
         if i not in self._selected:
             return
-        problem = self._problem
         self._selected.remove(i)
-        for t, degree in problem.covers[i].items():
-            new = problem.max_cover(t, self._selected)
-            if degree > new:
-                self._unexplained += degree - new
-        for f in problem.error_facts[i]:
-            owners = self._error_owners.get(f)
-            if owners is not None:
-                owners.discard(i)
-                if not owners:
-                    del self._error_owners[f]
-        self._size -= problem.sizes[i]
+        best, counts = self._best, self._degree_counts
+        for k, d in self._covers[i]:
+            row = counts[k]
+            left = row[d] - 1
+            if left:
+                row[d] = left
+                continue
+            del row[d]
+            if d == best[k]:
+                runner_up = max(row) if row else 0
+                self._unexplained += d - runner_up
+                best[k] = runner_up
+        owners = self._owners
+        for e in self._errors[i]:
+            owners[e] -= 1
+            if not owners[e]:
+                self._num_errors -= 1
+        self._size -= self._sizes[i]
 
     def delta_add(self, i: int) -> Fraction:
         """Change in F if candidate *i* were added (without mutating)."""
         if i in self._selected:
             return Fraction(0)
-        problem, w = self._problem, self._weights
-        gain = Fraction(0)
-        for t, degree in problem.covers[i].items():
-            old = problem.max_cover(t, self._selected)
-            if degree > old:
-                gain += degree - old
-        new_errors = sum(
-            1 for f in problem.error_facts[i] if f not in self._error_owners
-        )
+        w, best, owners = self._weights, self._best, self._owners
+        gain = sum(d - best[k] for k, d in self._covers[i] if d > best[k])
+        new_errors = sum(1 for e in self._errors[i] if not owners[e])
         return (
-            -w.explains * gain
-            + w.errors * Fraction(new_errors)
-            + w.size * Fraction(problem.sizes[i])
+            -w.explains * Fraction(gain, self._scale)
+            + w.errors * new_errors
+            + w.size * self._sizes[i]
         )
+
+    def value_of(self, selection: Iterable[int]) -> Fraction:
+        """F(*selection*), reached by flipping the symmetric difference.
+
+        The ``objective(frozenset)`` callback of :mod:`repro.psl.rounding`:
+        consecutive rounding queries differ in one or a few candidates, so
+        each costs only the flips between them.
+        """
+        for i in self._selected.symmetric_difference(selection):
+            if i in self._selected:
+                self.remove(i)
+            else:
+                self.add(i)
+        return self.value
+
+    # -- branch and bound ----------------------------------------------------
+
+    def suffix_covers(self, order: list[int]) -> list[tuple[tuple[int, int], ...]]:
+        """Per depth k, the best degree of each J fact over ``order[k:]``.
+
+        Entry ``len(order)`` is empty.  Feed an entry to
+        :meth:`lower_bound` while the candidates ``order[k:]`` are
+        undecided.
+        """
+        suffixes: list[tuple[tuple[int, int], ...]] = [()]
+        merged: dict[int, int] = {}
+        for i in reversed(order):
+            for k, d in self._covers[i]:
+                if d > merged.get(k, 0):
+                    merged[k] = d
+            suffixes.append(tuple(merged.items()))
+        suffixes.reverse()
+        return suffixes
+
+    def lower_bound(self, suffix: tuple[tuple[int, int], ...]) -> Fraction:
+        """F of the best completion if *suffix*'s coverage came for free.
+
+        Admissible for every selection that extends the current one with
+        candidates from the suffix: their errors and size can only add to
+        F, and their coverage can lower it by at most
+        ``sum(max(0, suffix - best))`` over J.
+        """
+        best = self._best
+        gap = sum(d - best[k] for k, d in suffix if d > best[k])
+        return self.value - self._weights.explains * Fraction(gap, self._scale)
