@@ -139,8 +139,6 @@ def _bench_one(name, config, store_root, scenario_cache):
     assert attach_run.iterations == fresh_run.iterations
     assert np.array_equal(attach_run.x, fresh_run.x)
     assert attach_run.energy == fresh_run.energy
-    attach_solver.close()
-    fresh_solver.close()
 
     # Best-of-reps: both lanes are single-process microbenchmarks, so
     # min is the noise-robust estimator (means smear scheduler blips

@@ -89,8 +89,6 @@ def _assert_identical_solves(patched, fresh) -> None:
     assert a.iterations == b.iterations
     assert np.array_equal(a.x, b.x)
     assert a.energy == b.energy
-    a_solver.close()
-    b_solver.close()
 
 
 def _bench_program_lane() -> dict:
@@ -161,7 +159,6 @@ def _bench_collective_lane(scenario_cache) -> dict:
         fresh = GroundedCollective(problem, settings, shard_size=GROUND_SHARD_SIZE)
         full_seconds = time.perf_counter() - start
         _assert_identical_solves(patched.mrf, fresh.mrf)
-        fresh.close()
         per_edit.append(
             {
                 "edit": type(edit).__name__,

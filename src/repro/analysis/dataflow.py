@@ -1,18 +1,12 @@
 """Forward dataflow engine for the flow-aware (RPL01x) lint rules.
 
 The engine runs a small abstract interpretation over each function
-body, propagating a four-fact lattice:
+body, propagating a two-fact lattice:
 
-* ``UNPICKLABLE``   — the value cannot cross a process boundary
+* ``UNPICKLABLE`` — the value cannot cross a process boundary
   (lambdas, nested functions/closures, objects holding them).
-* ``SEGMENT_OWNER`` — the value owns a shared-memory segment's
-  lifecycle (``SharedMemory(create=True)`` or a ``SharedSegmentOwner``
-  subclass instance).
-* ``LOCK_HELD``     — the value is a lock currently held (used by the
+* ``LOCK_HELD``   — the value is a lock currently held (used by the
   lock-order pass to seed acquisition contexts).
-* ``STAGED_VIEW``   — the value aliases memory staged into a shared
-  segment (``.buf`` views, staging-call results); mutating it bypasses
-  the ``write_weights``/``state_token`` protocol.
 
 Values are :class:`AbstractValue`: a frozenset of facts plus, per
 fact, a **witness chain** — the ``(path, line, note)`` steps the fact
@@ -40,23 +34,14 @@ from repro.analysis.callgraph import (
     FunctionInfo,
     Project,
 )
-from repro.analysis.visitor import call_keyword, terminal_name
+from repro.analysis.visitor import terminal_name
 
 #: The concrete facts the RPL01x rules consume.
-FACTS = ("UNPICKLABLE", "SEGMENT_OWNER", "LOCK_HELD", "STAGED_VIEW")
+FACTS = ("UNPICKLABLE", "LOCK_HELD")
 
 #: Witness chains are capped so pathological call graphs cannot grow
 #: them without bound (termination + readable messages).
 MAX_CHAIN_STEPS = 12
-
-#: Class names whose instances own a shared segment's lifecycle (kept
-#: in sync with the syntactic RPL003 checker).
-SEGMENT_OWNER_CLASSES = frozenset(
-    {"SharedSegmentOwner", "SharedPartitionBuffers", "SharedSolveState"}
-)
-
-#: Calls whose result aliases shared staged memory.
-STAGING_CALLS = frozenset({"ndarray", "frombuffer", "as_view"})
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -177,19 +162,12 @@ class Summary:
       which a release (``close``/``release``/``unlink``) or a direct
       mutation (subscript/attribute store, ``fill``) happens, possibly
       transitively through further calls.
-    * ``returns_fresh_segment`` — convenience flag: the return value
-      carries ``SEGMENT_OWNER`` born inside this function (ownership
-      transfers to the caller).
     """
 
     returns: AbstractValue = BOTTOM
     return_params: frozenset[int] = frozenset()
     released_params: frozenset[int] = frozenset()
     mutated_params: frozenset[int] = frozenset()
-
-    @property
-    def returns_fresh_segment(self) -> bool:
-        return self.returns.has("SEGMENT_OWNER")
 
 
 EMPTY_SUMMARY = Summary()
@@ -203,27 +181,12 @@ class _FnState:
     returns: AbstractValue = BOTTOM
     released: set[str] = field(default_factory=set)
     mutated: set[str] = field(default_factory=set)
-    #: name -> earliest line where a release on it was observed.
-    released_at: dict[str, int] = field(default_factory=dict)
-    #: (name, line, description) for each in-place mutation event, in
-    #: visit order (the RPL013 pass consumes these).
-    mutation_events: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def note_release(self, name: str, line: int) -> None:
-        self.released.add(name)
-        previous = self.released_at.get(name)
-        if previous is None or line < previous:
-            self.released_at[name] = line
-
-    def note_mutation(self, name: str, line: int, what: str) -> None:
-        self.mutated.add(name)
-        self.mutation_events.append((name, line, what))
 
 
 class DataflowEngine:
     """Summary computation + per-function abstract interpretation."""
 
-    #: method names that release a segment owner.
+    #: method names that release their receiver.
     release_methods = frozenset({"close", "release", "unlink", "shutdown"})
     #: method names that mutate their receiver in place.
     mutating_methods = frozenset(
@@ -335,9 +298,7 @@ class DataflowEngine:
         """Cached (final environment, event state) of one full-body run.
 
         Parameters are fact-free here (the summary path binds PARAM
-        markers instead); the event state carries every release and
-        mutation observed, with line numbers, for the RPL011/RPL013
-        passes.
+        markers instead).
         """
         cache = getattr(self, "_state_cache", None)
         if cache is None:
@@ -455,11 +416,7 @@ class DataflowEngine:
             base = base.value
         name = terminal_name(base) if not isinstance(base, ast.Name) else base.id
         if name is not None:
-            what = (
-                "subscript store" if isinstance(target, ast.Subscript)
-                else "attribute store"
-            )
-            state.note_mutation(name, getattr(target, "lineno", 0), what)
+            state.mutated.add(name)
 
     # ------------------------------------------------------------------
     # expressions
@@ -478,22 +435,9 @@ class DataflowEngine:
             return self._eval_call(expr, env, state)
         if isinstance(expr, ast.Attribute):
             base = self._eval(expr.value, env, state)
-            if expr.attr == "buf" and base.has("SEGMENT_OWNER"):
-                return join(
-                    extend(
-                        AbstractValue(
-                            frozenset({"STAGED_VIEW"}),
-                            (("STAGED_VIEW", base.chain("SEGMENT_OWNER")),),
-                        ),
-                        (here, expr.lineno, "view of the shared segment "
-                         "taken here (.buf)"),
-                    ),
-                    base,
-                )
-            # A bound method / attribute of an unpicklable or staged
-            # object carries the taint; segment *ownership* does not
-            # transfer to attribute reads.
-            kept = base.facts & {"UNPICKLABLE", "STAGED_VIEW"}
+            # A bound method / attribute of an unpicklable object
+            # carries the taint.
+            kept = base.facts & {"UNPICKLABLE"}
             if not kept:
                 return BOTTOM
             origins = tuple(
@@ -526,10 +470,9 @@ class DataflowEngine:
             self._bind(expr.target, value, env, state)
             return value
         if isinstance(expr, ast.Subscript):
-            # Indexing a staged view yields a staged view; indexing a
-            # container of unpicklables yields an unpicklable.
+            # Indexing a container of unpicklables yields an unpicklable.
             base = self._eval(expr.value, env, state)
-            kept = base.facts & {"UNPICKLABLE", "STAGED_VIEW"}
+            kept = base.facts & {"UNPICKLABLE"}
             kept |= {f for f in base.facts if f.startswith("PARAM")}
             if not kept:
                 return BOTTOM
@@ -549,15 +492,6 @@ class DataflowEngine:
         callee_name = terminal_name(call.func)
 
         # --- intrinsic fact generators -------------------------------
-        if callee_name == "SharedMemory":
-            kw = call_keyword(call, "create")
-            if kw is not None and isinstance(kw.value, ast.Constant) and kw.value.value is True:
-                return value_of(
-                    "SEGMENT_OWNER",
-                    (here, call.lineno,
-                     "SharedMemory(create=True) allocated here"),
-                )
-            return BOTTOM
         if callee_name in ("Lock", "RLock"):
             return value_of(
                 "LOCK_HELD", (here, call.lineno, f"{callee_name}() created here")
@@ -571,30 +505,6 @@ class DataflowEngine:
             return extend(
                 inner, (here, call.lineno, "wrapped in functools.partial here")
             ) if not inner.is_bottom() else BOTTOM
-        if callee_name in STAGING_CALLS and call_keyword(call, "buffer") is not None:
-            buffer_value = self._eval(call_keyword(call, "buffer").value, env, state)
-            if buffer_value.has("SEGMENT_OWNER") or buffer_value.has("STAGED_VIEW"):
-                return extend(
-                    AbstractValue(
-                        frozenset({"STAGED_VIEW"}),
-                        (("STAGED_VIEW",
-                          buffer_value.chain("SEGMENT_OWNER")
-                          or buffer_value.chain("STAGED_VIEW")),),
-                    ),
-                    (here, call.lineno,
-                     f"array view over the shared buffer built here "
-                     f"({callee_name}(buffer=...))"),
-                )
-
-        # --- constructor of a segment-owner class --------------------
-        if callee_name is not None and self.project.class_has_base(
-            callee_name, SEGMENT_OWNER_CLASSES
-        ):
-            return value_of(
-                "SEGMENT_OWNER",
-                (here, call.lineno,
-                 f"segment owner {callee_name}(...) constructed here"),
-            )
 
         # --- project-function calls: instantiate the summary ---------
         targets = self.project.resolve_call(fn.module, call, fn.class_name)
@@ -628,13 +538,10 @@ class DataflowEngine:
             # Transitive release/mutation of our own names through the call.
             for index in summary.released_params:
                 if index < len(call.args) and isinstance(call.args[index], ast.Name):
-                    state.note_release(call.args[index].id, call.lineno)
+                    state.released.add(call.args[index].id)
             for index in summary.mutated_params:
                 if index < len(call.args) and isinstance(call.args[index], ast.Name):
-                    state.note_mutation(
-                        call.args[index].id, call.lineno,
-                        f"mutated inside {label}()",
-                    )
+                    state.mutated.add(call.args[index].id)
 
         # --- method calls on our own names ---------------------------
         if isinstance(call.func, ast.Attribute):
@@ -644,16 +551,14 @@ class DataflowEngine:
             )
             if receiver_name is not None:
                 if call.func.attr in self.release_methods:
-                    state.note_release(receiver_name, call.lineno)
+                    state.released.add(receiver_name)
                 if call.func.attr in self.mutating_methods:
-                    state.note_mutation(
-                        receiver_name, call.lineno, f".{call.func.attr}(...)"
-                    )
+                    state.mutated.add(receiver_name)
             if not targets:
                 # Opaque method call: taint still flows receiver->result
-                # for the picklability/staging facts.
+                # for the picklability fact.
                 base = self._eval(receiver, env, state)
-                kept = base.facts & {"UNPICKLABLE", "STAGED_VIEW"}
+                kept = base.facts & {"UNPICKLABLE"}
                 kept |= {f for f in base.facts if f.startswith("PARAM")}
                 if kept:
                     result = join(

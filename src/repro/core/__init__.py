@@ -52,15 +52,7 @@ from repro.queries import (
     workload_for_schema,
 )
 from repro.mappings import Atom, StTgd, Variable, atom, parse_tgd, parse_tgds, var
-from repro.psl import (
-    AdmmSettings,
-    PslProgram,
-    SharedBlockArrays,
-    SharedPartitionBuffers,
-    TermPartition,
-    build_partition,
-    lit,
-)
+from repro.psl import AdmmSettings, PslProgram, lit
 from repro.selection.weight_learning import learn_weights, training_pairs_from_scenarios
 from repro.selection import (
     CollectiveSettings,
@@ -83,10 +75,6 @@ from repro.selection import (
 
 __all__ = [
     "AdmmSettings",
-    "SharedBlockArrays",
-    "SharedPartitionBuffers",
-    "TermPartition",
-    "build_partition",
     "Atom",
     "CollectiveSettings",
     "Constant",

@@ -60,7 +60,11 @@ from repro.psl.hlmrf import (
     HingeLossMRF,
     rebuild_mrf,
 )
-from repro.psl.partition import FlatTermArrays, compile_term_arrays
+from repro.psl.partition import (
+    FlatTermArrays,
+    compile_term_arrays,
+    compiled_term_arrays,
+)
 from repro.psl.predicate import GroundAtom
 from repro.psl.sharding import (
     GroundingShard,
@@ -172,17 +176,9 @@ def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _old_flat(mrf: HingeLossMRF) -> FlatTermArrays | None:
-    """The old MRF's compiled arrays, if they describe its current terms."""
-    flat = getattr(mrf, "_compiled", None)
-    num_terms = len(mrf.potentials) + len(mrf.constraints)
-    if (
-        flat is not None
-        and flat.num_potentials == len(mrf.potentials)
-        and flat.num_terms == num_terms
-    ):
-        return flat
+    """The old MRF's compiled arrays, compiled now if it carries none."""
     try:
-        return compile_term_arrays(mrf)
+        return compiled_term_arrays(mrf)
     except (InferenceError, ValueError):  # pragma: no cover - defensive
         return None
 

@@ -209,11 +209,10 @@ class HingeLossMRF:
     objective to equal the true one.
 
     Every :meth:`add_term_block` call also records the block's extent in
-    the potential and constraint lists, so the shard structure chosen at
-    grounding time survives into the model; :meth:`term_partition` hands
-    those extents to the partitioned ADMM solver
-    (:mod:`repro.psl.partition`) as contiguous runs of the flat
-    potentials-then-constraints term order.
+    the potential and constraint lists (``_block_extents``), so the shard
+    structure chosen at grounding time survives into the model: delta
+    patching (:mod:`repro.psl.delta`) splices per-shard ranges by it and
+    the grounding store (:mod:`repro.psl.store`) persists it.
 
     **Weights vs structure.**  The HL-MRF energy is *linear* in the
     potential weights, so weights are first-class mutable state, kept
@@ -223,7 +222,7 @@ class HingeLossMRF:
     contiguous per-potential vector (:meth:`potential_weights`).
     :meth:`set_group_weights` / :meth:`set_group_potential_weights` /
     :meth:`set_potential_weights` rewrite weights in place (bumping
-    :attr:`weights_version` so compiled solver partitions know to
+    :attr:`weights_version` so compiled solver arrays know to
     resync) without touching structure — the "ground once, reweight
     many" contract: a reweighted MRF is element-for-element identical to
     one freshly grounded at the new weights, provided no weight crosses
@@ -572,100 +571,36 @@ class HingeLossMRF:
             (pot_before, len(self.potentials), con_before, len(self.constraints))
         )
 
-    def term_partition(self) -> tuple[tuple[int, int], ...]:
-        """Block boundaries as ``[lo, hi)`` runs of the flat term order.
-
-        The flat term order is the one the ADMM solver uses: all
-        potentials in list order, then all constraints.  A grounding
-        block whose extent holds both potentials and constraints
-        contributes two runs (its potential slice and its constraint
-        slice), so every run is contiguous in the flat order — the
-        property that makes the partitioned solver's consensus
-        accumulation bit-identical to the flat one.
-
-        On the legacy incremental path (no :meth:`add_term_block` calls),
-        or whenever the recorded extents do not exactly tile the
-        potential/constraint lists (mixed bulk + incremental
-        construction), the partition degrades to a single run covering
-        everything — always safe, never wrong.
-        """
-        num_potentials, num_constraints = len(self.potentials), len(self.constraints)
-        total = num_potentials + num_constraints
-        if total == 0:
-            return ()
-        pot_runs: list[tuple[int, int]] = []
-        con_runs: list[tuple[int, int]] = []
-        next_pot = next_con = 0
-        for pot_lo, pot_hi, con_lo, con_hi in self._block_extents:
-            if pot_lo != next_pot or con_lo != next_con:
-                return ((0, total),)
-            next_pot, next_con = pot_hi, con_hi
-            if pot_hi > pot_lo:
-                pot_runs.append((pot_lo, pot_hi))
-            if con_hi > con_lo:
-                con_runs.append((con_lo, con_hi))
-        if next_pot != num_potentials or next_con != num_constraints:
-            return ((0, total),)
-        return tuple(pot_runs) + tuple(
-            (num_potentials + lo, num_potentials + hi) for lo, hi in con_runs
-        )
-
     def _energy_arrays(self) -> tuple[np.ndarray, ...]:
-        """Partition-style structure arrays for the vectorized energy path.
+        """Potential-prefix slices of the compiled arrays, for :meth:`energy`.
 
         Cached, keyed on the potential count: the potentials list is
         append-only, and reweighting replaces entries with
         same-structure copies, so the count fully identifies the
         (weight-independent) structure.  Weights are deliberately *not*
         cached — :meth:`energy` reads them fresh every call, so the
-        cache survives any amount of in-place reweighting.
+        cache survives any amount of in-place reweighting.  The slices
+        come from the same :func:`~repro.psl.partition.compiled_term_arrays`
+        the solver runs on, which also keeps a store-attached MRF's
+        deferred term objects unmaterialized (the arrays are read-only
+        mmap views there).
         """
         cached = getattr(self, "_energy_terms", None)
         num = len(self.potentials)
         if cached is not None and cached[0] == num:
             return cached[1]
-        flat = getattr(self, "_compiled", None)
-        if flat is not None and flat.num_potentials == num:
-            # Slice the precompiled flat arrays instead of iterating the
-            # potential objects: both emit the identical potentials-first
-            # CSR order, the lists are append-only, and an equal count
-            # pins an equal prefix — so the content matches bit for bit.
-            # Also keeps a store-attached MRF's deferred term objects
-            # unmaterialized (the arrays are read-only mmap views there).
-            copies = int(flat.term_ptr[num])
-            arrays = (
-                flat.var[:copies],
-                flat.coeff[:copies],
-                flat.term[:copies],
-                flat.offset[:num],
-                np.asarray(flat.kind[:num] == KIND_SQUARED),
-            )
-            self._energy_terms = (num, arrays)
-            return arrays
-        counts = np.fromiter(
-            (len(p.coefficients) for p in self.potentials),
-            dtype=np.int64,
-            count=num,
+        # Imported here: repro.psl.partition builds on this module.
+        from repro.psl.partition import compiled_term_arrays
+
+        flat = compiled_term_arrays(self)
+        copies = int(flat.term_ptr[num])
+        arrays = (
+            flat.var[:copies],
+            flat.coeff[:copies],
+            flat.term[:copies],
+            flat.offset[:num],
+            np.asarray(flat.kind[:num] == KIND_SQUARED),
         )
-        copies = int(counts.sum())
-        var = np.fromiter(
-            (i for p in self.potentials for i, _ in p.coefficients),
-            dtype=np.int64,
-            count=copies,
-        )
-        coeff = np.fromiter(
-            (c for p in self.potentials for _, c in p.coefficients),
-            dtype=np.float64,
-            count=copies,
-        )
-        term = np.repeat(np.arange(num, dtype=np.int64), counts)
-        offset = np.fromiter(
-            (p.offset for p in self.potentials), dtype=np.float64, count=num
-        )
-        squared = np.fromiter(
-            (p.squared for p in self.potentials), dtype=bool, count=num
-        )
-        arrays = (var, coeff, term, offset, squared)
         self._energy_terms = (num, arrays)
         return arrays
 
@@ -684,7 +619,7 @@ class HingeLossMRF:
     def energy(self, x) -> float:
         """Total weighted hinge loss at *x* (ignores constraints).
 
-        Computed on cached partition-style arrays — one gather, one
+        Computed on the cached compiled arrays — one gather, one
         per-term ``bincount``, one dot with the live weight vector —
         instead of a Python loop over potentials.  Validated against the
         per-potential sum in tests; float summation order differs, so

@@ -2,7 +2,7 @@
 
 Ground once per structure, *ever*: PRs 5–7 made warm reuse of a grounded
 structure nearly free inside one process (in-place reweighting, the
-per-process grounding cache, shared-memory staging), but every new
+per-process grounding cache), but every new
 process lifetime still paid the dominant grounding cost from scratch.
 This module spills a compiled grounding — the flat
 :class:`~repro.psl.partition.FlatTermArrays` CSR arrays plus the MRF's
@@ -14,8 +14,8 @@ re-attaches it in a fresh process as a solve-ready
 * the solver arrays come back as **read-only mmap views** (zero-copy;
   the kernel shares the page cache across a whole fleet of workers
   attaching the same entry), seeded onto the MRF as precompiled
-  :class:`~repro.psl.partition.FlatTermArrays` so
-  :func:`~repro.psl.partition.build_partition` skips array assembly;
+  :class:`~repro.psl.partition.FlatTermArrays` so the ADMM solver
+  skips array assembly;
 * only the per-term weight vector is materialized as a writable
   in-memory copy — weights are the mutable half of the
   ground-once/reweight-many contract and get rewritten on attach;

@@ -44,7 +44,7 @@ class TestSuppressionParsing:
 
     def test_bare_disable_covers_all_rules(self):
         table = parse_suppressions(["f()  # repro-lint: disable"])
-        for rule in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005"):
+        for rule in ("RPL001", "RPL002", "RPL004", "RPL005", "RPL010", "RPL012"):
             assert is_suppressed(table, 1, rule)
 
     def test_comment_only_pragma_shields_next_code_line(self):

@@ -1,7 +1,7 @@
 """Meta-test: the shipped tree must lint clean against its baseline.
 
 This runs the full repro-lint pass in-process, so tier-1 guards the
-concurrency/determinism/shared-memory invariants even if the CI lint
+concurrency/determinism invariants even if the CI lint
 job's configuration drifts.
 """
 

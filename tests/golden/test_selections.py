@@ -11,7 +11,7 @@ CHANGES.md entry that says why.
 
 Re-record (only when a behaviour change is intended)::
 
-    python -m tests.golden.test_selections
+    PYTHONPATH=src python -m tests.golden.test_selections
 """
 
 from __future__ import annotations

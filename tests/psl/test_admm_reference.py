@@ -1,34 +1,36 @@
-"""Partitioned-vs-flat ADMM equivalence, verified against the old solver.
+"""ADMM solver equivalence against a frozen reference solver.
 
-``_ReferenceFlatSolver`` is a frozen copy of the pre-partitioning
-``AdmmSolver`` (one monolithic term array).  The contract under test:
-for ANY block size and ANY executor, the partitioned solver produces the
-*identical* run — same iterates, same iteration count, same residuals,
-same energy, same dual state — on fingerprint-verified collective
-problems and on random MRFs alike.  Not approximately: bit for bit.
+``_ReferenceFlatSolver`` is a frozen copy of an early ``AdmmSolver`` (one
+monolithic term array, boolean kind masks recomputed every iteration).
+The contract under test: the solver produces the *identical* run — same
+iterates, same iteration count, same residuals, same energy, same dual
+state — on fingerprint-verified collective problems and on random MRFs
+alike, cold, warm, reweighted and store-attached.  Not approximately:
+bit for bit.
 """
 
 import functools
-import pickle
-from multiprocessing import shared_memory
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.executors import ProcessExecutor
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.psl.admm import AdmmResult, AdmmSettings, AdmmSolver, AdmmWarmState
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import mrf_fingerprint
+from repro.psl.store import GroundingStore
 from repro.selection.collective import (
     CollectiveSettings,
+    GroundedCollective,
     build_program,
+    collective_structure_key,
     ground_collective,
-    solve_collective,
 )
 from repro.selection.metrics import build_selection_problem
+from repro.selection.objective import ObjectiveWeights
 
 X = Predicate("x", 1, closed=False)
 
@@ -39,7 +41,7 @@ _KIND_EQ = 3
 
 
 class _ReferenceFlatSolver:
-    """The pre-refactor AdmmSolver, kept verbatim as the ground truth."""
+    """An early AdmmSolver, kept verbatim as the ground truth."""
 
     def __init__(self, mrf, settings=None):
         self._mrf = mrf
@@ -201,16 +203,20 @@ def _random_mrf(seed: int, n: int = 8, m: int = 20) -> HingeLossMRF:
     return mrf
 
 
-@functools.cache
-def _collective_mrf() -> HingeLossMRF:
+def _collective_problem(pi: int = 50, seed: int = 13):
     scenario = generate_scenario(
         ScenarioConfig(
-            num_primitives=4, rows_per_relation=8, pi_errors=50, pi_corresp=50, seed=13
+            num_primitives=4, rows_per_relation=8, pi_errors=pi, pi_corresp=pi, seed=seed
         )
     )
-    problem = build_selection_problem(
+    return build_selection_problem(
         scenario.source, scenario.target, scenario.candidates
     )
+
+
+@functools.cache
+def _collective_mrf() -> HingeLossMRF:
+    problem = _collective_problem()
     settings = CollectiveSettings()
     mrf, _, _ = ground_collective(problem, settings, shard_size=8)
     # Fingerprint-verified: the sharded grounding reproduced the serial
@@ -223,202 +229,39 @@ def _collective_mrf() -> HingeLossMRF:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("block_size", [1, 3, 17, None])
-def test_partitioned_matches_flat_reference_on_random_mrfs(seed, block_size):
+def test_matches_flat_reference_on_random_mrfs(seed):
     mrf = _random_mrf(seed)
     reference = _ReferenceFlatSolver(mrf).solve()
-    result = AdmmSolver(mrf, AdmmSettings(block_size=block_size)).solve()
+    result = AdmmSolver(mrf).solve()
     _assert_identical_run(result, reference)
 
 
-@pytest.mark.parametrize("block_size", [1, 7, 64, None])
-@pytest.mark.parametrize("executor", [None, "thread:2"])
-def test_partitioned_matches_flat_reference_on_collective_problem(
-    block_size, executor
-):
+def test_matches_flat_reference_on_collective_problem():
     mrf = _collective_mrf()
     reference = _ReferenceFlatSolver(mrf).solve()
-    settings = AdmmSettings(block_size=block_size, executor=executor)
-    result = AdmmSolver(mrf, settings).solve()
+    result = AdmmSolver(mrf).solve()
     _assert_identical_run(result, reference)
-    # The grounding-shard partition really is non-trivial here.
-    if block_size is None:
-        assert AdmmSolver(mrf, settings).partition.num_blocks > 1
 
 
-@pytest.mark.parametrize("block_size", [32, None])
-def test_process_executor_blocks_match_reference(block_size):
-    # The process path now rides the shared persistent pool plus
-    # shared-memory block arrays; a truncated run must still be
-    # bit-identical, for the grounding partition and a re-chunking alike.
+def test_truncated_run_matches_reference():
+    # The loop exits at the iteration cap between convergence checks;
+    # the final residuals are recomputed on the last iterate.
     mrf = _collective_mrf()
-    settings = AdmmSettings(max_iterations=4, check_every=2)
+    settings = AdmmSettings(max_iterations=5, check_every=2)
     reference = _ReferenceFlatSolver(mrf, settings).solve()
-    result = AdmmSolver(
-        mrf,
-        AdmmSettings(
-            max_iterations=4,
-            check_every=2,
-            block_size=block_size,
-            executor="process:2",
-        ),
-    ).solve()
-    _assert_identical_run(result, reference)
+    _assert_identical_run(AdmmSolver(mrf, settings).solve(), reference)
 
 
-class _RecordingProcessExecutor(ProcessExecutor):
-    """Persistent process executor that records the mapped payloads."""
-
-    def __init__(self, explode: bool = False):
-        super().__init__(2, persistent=True)
-        self.explode = explode
-        self.payloads: list = []
-
-    def map(self, fn, items, **kwargs):
-        items = list(items)
-        self.payloads.extend(items)
-        if self.explode:
-            raise RuntimeError("boom")
-        return super().map(fn, items, **kwargs)
-
-
-def _assert_unlinked(names):
-    assert names
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-def _segment_names(solver: AdmmSolver) -> set[str]:
-    """Both solver-owned segments: block staging + shared solve state."""
-    names = {solver._shared.name, solver._solve_state.name}
-    assert None not in names
-    return names
-
-
-def test_process_solve_ships_tiny_acks_and_unlinks_after():
-    mrf = _collective_mrf()
-    executor = _RecordingProcessExecutor()
-    try:
-        settings = AdmmSettings(
-            max_iterations=3, check_every=3, block_size=64, executor=executor
-        )
-        reference = _ReferenceFlatSolver(
-            mrf, AdmmSettings(max_iterations=3, check_every=3)
-        ).solve()
-        solver = AdmmSolver(mrf, settings)
-        _assert_identical_run(solver.solve(), reference)
-        # Every per-iteration payload is (segment name, block index,
-        # rho, generation) — O(1) bytes, independent of problem size...
-        assert executor.payloads
-        state_name = solver._solve_state.name
-        for payload in executor.payloads:
-            name, index, rho, generation = payload
-            assert name == state_name
-            assert isinstance(index, int) and isinstance(generation, int)
-            assert len(pickle.dumps(payload)) < 128
-        names = _segment_names(solver)
-        del solver
-        # ...and both driver-owned segments unlink with the solver.
-        _assert_unlinked(names)
-    finally:
-        executor.close()
-
-
-def test_shared_segments_released_when_solver_closes_after_raise():
-    # The staging + solve-state segments are solver-owned and survive a
-    # raising solve (the solver stays usable for a retry / reweighted
-    # re-solve); close() — also run on context exit and garbage
-    # collection — is the leak-free teardown.
-    mrf = _collective_mrf()
-    executor = _RecordingProcessExecutor(explode=True)
-    solver = AdmmSolver(
-        mrf, AdmmSettings(max_iterations=3, block_size=64, executor=executor)
-    )
-    with pytest.raises(RuntimeError):
-        solver.solve()
-    from repro.psl.partition import _attach_segment
-
-    names = _segment_names(solver)
-    for name in names:  # still staged while the solver lives
-        assert _attach_segment(name).size >= 8
-    solver.close()
-    _assert_unlinked(names)  # leak-free teardown on close
-    executor.close()
-
-
-def test_solver_releases_shared_segments_when_garbage_collected():
-    mrf = _collective_mrf()
-    executor = _RecordingProcessExecutor()
-    try:
-        settings = AdmmSettings(
-            max_iterations=2, check_every=2, block_size=64, executor=executor
-        )
-        solver = AdmmSolver(mrf, settings)
-        solver.solve()
-        names = _segment_names(solver)
-        del solver  # one-shot: solver dies right away
-        _assert_unlinked(names)
-    finally:
-        executor.close()
-
-
-def test_concurrent_solvers_do_not_release_each_other():
-    # Two live solvers on the same executor own disjoint segments; one
-    # closing (or dying) must not tear down the other's state mid-use.
-    mrf = _collective_mrf()
-    executor = _RecordingProcessExecutor()
-    try:
-        settings = AdmmSettings(
-            max_iterations=2, check_every=2, block_size=64, executor=executor
-        )
-        first = AdmmSolver(mrf, settings)
-        second = AdmmSolver(mrf, settings)
-        result_first = first.solve()
-        result_second = second.solve()
-        names_first = _segment_names(first)
-        names_second = _segment_names(second)
-        assert not names_first & names_second
-        first.close()
-        _assert_unlinked(names_first)
-        # The survivor still re-solves bit-identically on its own state.
-        again = second.solve()
-        assert np.array_equal(again.x, result_second.x)
-        assert again.iterations == result_second.iterations
-        second.close()
-        _assert_unlinked(names_second)
-        del result_first
-    finally:
-        executor.close()
-
-
-@pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
-def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
+def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve():
     # The ground-once/reweight-many acceptance contract, measured against
-    # the frozen pre-partitioning solver: reweighting a cached grounding
-    # in place and re-solving must reproduce — bit for bit — the run of
-    # a solver built on a *fresh* grounding at the new weights.
-    from fractions import Fraction
-
-    from repro.selection.collective import GroundedCollective
-    from repro.selection.objective import ObjectiveWeights
-
-    scenario = generate_scenario(
-        ScenarioConfig(
-            num_primitives=4, rows_per_relation=8, pi_errors=50, pi_corresp=50, seed=13
-        )
-    )
-    problem = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates
-    )
-    grounded = GroundedCollective(
-        problem, CollectiveSettings(), shard_size=8
-    )
-    settings = AdmmSettings(
-        max_iterations=40, check_every=5, block_size=32, executor=executor
-    )
+    # the frozen reference solver: reweighting a cached grounding in
+    # place and re-solving must reproduce — bit for bit — the run of a
+    # solver built on a *fresh* grounding at the new weights.
+    problem = _collective_problem()
+    grounded = GroundedCollective(problem, CollectiveSettings(), shard_size=8)
+    settings = AdmmSettings(max_iterations=40, check_every=5)
     solver = AdmmSolver(grounded.mrf, settings)
-    solver.solve()  # prime the compiled partition (and any staging)
+    solver.solve()  # prime the compiled arrays
     for triple in (("2", "1", "1/2"), ("1/3", "5", "1"), ("1", "1", "1")):
         weights = ObjectiveWeights(*(Fraction(w) for w in triple))
         grounded.reweight(weights)
@@ -427,53 +270,28 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
             problem, CollectiveSettings(weights=weights), shard_size=8
         )
         assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh_mrf)
-        reference = _ReferenceFlatSolver(
-            fresh_mrf, AdmmSettings(max_iterations=40, check_every=5)
-        ).solve()
+        reference = _ReferenceFlatSolver(fresh_mrf, settings).solve()
         _assert_identical_run(resolved, reference)
-    solver.close()
 
 
-@pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
-def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(
-    executor, tmp_path
-):
+def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(tmp_path):
     # The disk-store acceptance contract, measured against the frozen
-    # pre-partitioning solver: attaching a spilled grounding (mmap) and
+    # reference solver: attaching a spilled grounding (mmap) and
     # reweighting it must reproduce — bit for bit — the run of a solver
-    # built on a *fresh* grounding at the new weights, under every
-    # executor, with no grounding work on the attach path.
-    from fractions import Fraction
-
-    from repro.psl.store import GroundingStore
-    from repro.selection.collective import (
-        GroundedCollective,
-        collective_structure_key,
-    )
-    from repro.selection.objective import ObjectiveWeights
-
-    scenario = generate_scenario(
-        ScenarioConfig(
-            num_primitives=4, rows_per_relation=8, pi_errors=50, pi_corresp=50, seed=13
-        )
-    )
-    problem = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates
-    )
+    # built on a *fresh* grounding at the new weights, with no grounding
+    # work on the attach path.
+    problem = _collective_problem()
     base = CollectiveSettings()
     writer = GroundedCollective(problem, base, shard_size=8)
     store = GroundingStore(tmp_path)
     key = collective_structure_key(problem, base)
     assert store.put(key, writer.mrf, extra=writer.store_extra())
-    writer.close()
 
     stored = store.load(key)
     assert stored is not None
     attached = GroundedCollective.from_store(problem, base, stored)
     assert attached.stats is None  # attached, not ground
-    settings = AdmmSettings(
-        max_iterations=40, check_every=5, block_size=32, executor=executor
-    )
+    settings = AdmmSettings(max_iterations=40, check_every=5)
     solver = AdmmSolver(attached.mrf, settings)
     for triple in (("1", "1", "1"), ("2", "1", "1/2"), ("1/3", "5", "1")):
         weights = ObjectiveWeights(*(Fraction(w) for w in triple))
@@ -483,29 +301,14 @@ def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(
             problem, CollectiveSettings(weights=weights), shard_size=8
         )
         assert mrf_fingerprint(attached.mrf) == mrf_fingerprint(fresh_mrf)
-        reference = _ReferenceFlatSolver(
-            fresh_mrf, AdmmSettings(max_iterations=40, check_every=5)
-        ).solve()
+        reference = _ReferenceFlatSolver(fresh_mrf, settings).solve()
         _assert_identical_run(resolved, reference)
-    solver.close()
 
 
 def test_reweight_resolve_with_warm_state_matches_reference_warm_run():
     # Warm-state reuse across reweighted solves: same trajectory as the
     # frozen solver restarted from the same state on a fresh grounding.
-    from fractions import Fraction
-
-    from repro.selection.collective import GroundedCollective
-    from repro.selection.objective import ObjectiveWeights
-
-    scenario = generate_scenario(
-        ScenarioConfig(
-            num_primitives=4, rows_per_relation=8, pi_errors=40, pi_corresp=40, seed=5
-        )
-    )
-    problem = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates
-    )
+    problem = _collective_problem(pi=40, seed=5)
     grounded = GroundedCollective(problem, CollectiveSettings(), shard_size=16)
     settings = AdmmSettings(check_every=1)
     solver = AdmmSolver(grounded.mrf, settings)
@@ -523,30 +326,27 @@ def test_reweight_resolve_with_warm_state_matches_reference_warm_run():
 def test_warm_state_with_warm_start_interactions_match_reference():
     mrf = _random_mrf(4)
     flat_cold = _ReferenceFlatSolver(mrf).solve()
-    part_cold = AdmmSolver(mrf, AdmmSettings(block_size=5)).solve()
-    _assert_identical_run(part_cold, flat_cold)
+    cold = AdmmSolver(mrf).solve()
+    _assert_identical_run(cold, flat_cold)
     flat_warm = _ReferenceFlatSolver(mrf).solve(warm_state=flat_cold.state)
-    part_warm = AdmmSolver(mrf, AdmmSettings(block_size=5)).solve(
-        warm_state=part_cold.state
-    )
-    _assert_identical_run(part_warm, flat_warm)
+    warm = AdmmSolver(mrf).solve(warm_state=cold.state)
+    _assert_identical_run(warm, flat_warm)
     start = np.linspace(0.0, 1.0, mrf.num_variables)
     _assert_identical_run(
-        AdmmSolver(mrf, AdmmSettings(block_size=2)).solve(warm_start=start),
+        AdmmSolver(mrf).solve(warm_start=start),
         _ReferenceFlatSolver(mrf).solve(warm_start=start),
     )
 
 
-def test_warm_state_survives_repartitioning():
-    mrf = _collective_mrf()
+def test_warm_state_survives_a_different_shard_size():
+    problem = _collective_problem()
     settings = AdmmSettings(check_every=1)
-    first = AdmmSolver(mrf, settings).solve()
+    first = AdmmSolver(_collective_mrf(), settings).solve()
     assert first.converged and first.state is not None
-    # Same MRF, different block structure: the state must still be
-    # honoured (dual layout is the flat copy order, partition-agnostic).
-    resumed = AdmmSolver(
-        mrf, AdmmSettings(check_every=1, block_size=11, executor="thread:2")
-    ).solve(warm_state=first.state)
+    # The same problem ground at another shard size: the dual layout is
+    # the flat copy order, which the shard size does not change.
+    regrounded, _, _ = ground_collective(problem, CollectiveSettings(), shard_size=64)
+    resumed = AdmmSolver(regrounded, settings).solve(warm_state=first.state)
     assert resumed.iterations < first.iterations
     assert np.allclose(resumed.x, first.x, atol=1e-3)
 
@@ -568,7 +368,7 @@ def test_warm_state_rejected_on_structurally_different_mrf():
     foreign = AdmmSolver(two_terms).solve().state
     assert foreign.num_terms == 2
     solver = AdmmSolver(one_term)
-    assert not foreign.matches(solver.partition)
+    assert not foreign.matches(solver.arrays)
     result = solver.solve(warm_state=foreign)
     cold = AdmmSolver(one_term).solve()
     _assert_identical_run(result, cold)  # the stale state was ignored
@@ -581,23 +381,3 @@ def test_legacy_warm_state_without_signature_still_accepted():
     resumed = AdmmSolver(mrf).solve(warm_state=legacy)
     reference = AdmmSolver(mrf).solve(warm_state=state)
     _assert_identical_run(resumed, reference)
-
-
-def test_solve_collective_threads_solver_knobs():
-    scenario = generate_scenario(
-        ScenarioConfig(num_primitives=2, rows_per_relation=6, seed=3)
-    )
-    problem = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates
-    )
-    plain = solve_collective(problem)
-    tuned = solve_collective(
-        problem,
-        CollectiveSettings(
-            admm=AdmmSettings(executor="thread:2", block_size=16)
-        ),
-    )
-    assert tuned.selected == plain.selected
-    assert tuned.objective == plain.objective
-    assert tuned.fractional == plain.fractional
-    assert tuned.iterations == plain.iterations

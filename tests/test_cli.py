@@ -81,10 +81,8 @@ def test_select_solver_knobs(tmp_path, capsys):
                 str(path),
                 "--method",
                 "collective",
-                "--solve-executor",
+                "--ground-executor",
                 "thread:2",
-                "--solve-block-size",
-                "16",
                 "--ground-shard-size",
                 "8",
             ]
@@ -93,6 +91,10 @@ def test_select_solver_knobs(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "collective" in out
+    # The ADMM solve is serial and unpartitioned: no solve-side knobs.
+    for knob in ("--solve-executor", "--solve-block-size"):
+        with pytest.raises(SystemExit):
+            main(["select", str(path), knob, "2"])
 
 
 def test_sweep_solver_knobs(capsys):
@@ -108,9 +110,9 @@ def test_sweep_solver_knobs(capsys):
                 "1",
                 "--levels",
                 "0",
-                "--solve-executor",
+                "--ground-executor",
                 "serial",
-                "--solve-block-size",
+                "--ground-shard-size",
                 "4",
             ]
         )

@@ -98,8 +98,8 @@ def test_resolve_thread_with_and_without_count():
 
 
 def test_resolve_thread_shares_one_executor_per_worker_count():
-    # One AdmmSolver is built per solve; resolving "thread:N" each time
-    # must reuse one pool, not accumulate a new one per solver.
+    # Every grid cell or grounding resolves its spec afresh; resolving
+    # "thread:N" each time must reuse one pool, not accumulate new ones.
     assert resolve_executor("thread:2") is resolve_executor("thread:2")
     assert resolve_executor("thread:2") is not resolve_executor("thread:3")
 
@@ -238,8 +238,8 @@ def _nested_map(executor):
 
 def test_thread_executor_nested_map_does_not_deadlock():
     # Shared "thread:N" instances serve both an engine grid and the
-    # solvers inside its cells; nested maps used to queue behind their
-    # own parents and hang forever.
+    # sharded grounds inside its cells; nested maps used to queue behind
+    # their own parents and hang forever.
     executor = ThreadExecutor(2)
     results = list(executor.map(_nested_map(executor), [0, 1, 2, 3]))
     assert results == [0 + 1, 1 + 4, 4 + 9, 9 + 16]

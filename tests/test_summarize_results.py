@@ -31,14 +31,14 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
             }
         )
     )
-    (tmp_path / "persistent_pool.json").write_text(
+    (tmp_path / "parallel_engine_build.json").write_text(
         json.dumps(
             {
                 "host_cpus": 4,
                 "workers": 2,
-                "legacy_fresh_sec_per_map": 0.016,
-                "shared_sec_per_map": 0.002,
-                "dispatch_overhead_drop": 8.0,
+                "serial_seconds": 0.016,
+                "parallel_seconds": 0.002,
+                "speedup": 8.0,
             }
         )
     )
