@@ -8,7 +8,7 @@ close to linear in practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from repro.datamodel.values import Constant, LabeledNull, Value, is_null
@@ -21,10 +21,27 @@ class Fact:
 
     Values are :class:`Constant` or :class:`LabeledNull`.  Facts are
     immutable and hashable, so instances can be modeled as sets.
+
+    The hash is computed once, at construction, and equals
+    ``hash((relation, values))`` -- what the generated dataclass hash
+    returned -- so set and dict orders are unchanged.  It is never
+    pickled (see :meth:`__reduce__`): string hashes depend on the
+    interpreter's hash seed, so a fact crossing a process boundary must
+    rehash on arrival.
     """
 
     relation: str
     values: tuple[Value, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.relation, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Fact, (self.relation, self.values)
 
     @property
     def arity(self) -> int:

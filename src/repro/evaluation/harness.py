@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from repro.evaluation.metrics import PrecisionRecall, data_quality, mapping_quality
+from repro.chase.engine import exchanged_instance
+from repro.datamodel.instance import Instance
+from repro.evaluation.metrics import (
+    PrecisionRecall,
+    instance_precision_recall,
+    mapping_quality,
+)
 from repro.ibench.scenario import Scenario
 from repro.selection.baselines import select_all
 from repro.selection.collective import solve_collective
@@ -74,6 +80,29 @@ def exact_method(problem: SelectionProblem) -> SelectionResult:
     return solve_branch_and_bound(problem)
 
 
+def exchanged_by_selection(
+    scenario: Scenario, problem: SelectionProblem, selected: frozenset[int]
+) -> Instance:
+    """The scenario's source exchanged under the selected candidates.
+
+    When *problem* was built on this very source, this is the union of
+    the build's per-candidate chases instead of a fresh chase.  Each
+    chase has its own nulls and equal ground facts coincide, exactly as
+    in :func:`~repro.chase.engine.exchanged_instance`, so the union is
+    isomorphic to it and scores the same.  Problems without chase tables,
+    or built on another source object, are chased afresh.
+    """
+    chases = problem.chase_by_candidate
+    if problem.source is scenario.source and len(chases) == problem.num_candidates:
+        exchanged = Instance()
+        for i in sorted(selected):
+            for f in chases[i]:
+                exchanged.add(f)
+        return exchanged
+    tgds = [problem.candidates[i] for i in sorted(selected)]
+    return exchanged_instance(scenario.source, tgds)
+
+
 def score_selection(
     scenario: Scenario,
     problem: SelectionProblem,
@@ -83,12 +112,12 @@ def score_selection(
     seconds: float,
 ) -> MethodRun:
     """Quality-score one method's selection against the scenario's gold."""
-    tgds = [problem.candidates[i] for i in sorted(selected)]
+    exchanged = exchanged_by_selection(scenario, problem, selected)
     return MethodRun(
         method=name,
         selected=selected,
         objective=objective,
-        data=data_quality(scenario.source, tgds, scenario.reference_target),
+        data=instance_precision_recall(exchanged, scenario.reference_target),
         mapping=mapping_quality(selected, scenario.gold_indices),
         seconds=seconds,
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.chase.engine import exchanged_instance
-from repro.datamodel.instance import Instance
-from repro.homomorphism.search import fact_matches, has_fact_homomorphism
+from repro.datamodel.instance import Fact, Instance
+from repro.homomorphism.search import FactIndex
 from repro.mappings.tgd import StTgd
 
 
@@ -46,19 +46,22 @@ def instance_precision_recall(result: Instance, reference: Instance) -> Precisio
     """
     if len(result) == 0:
         return PrecisionRecall(1.0, 0.0 if len(reference) else 1.0)
-    matched = sum(1 for f in result if has_fact_homomorphism(f, reference))
+    # One pass over the result against an index of the reference: each
+    # result fact counts toward precision if it has any image, and every
+    # image it has is a reference fact some result fact maps onto.
+    index = FactIndex(reference)
+    matched = 0
+    covered: set[Fact] = set()
+    for f in result:
+        images = [t for t, _ in index.images(f)]
+        if images:
+            matched += 1
+            covered.update(images)
     precision = matched / len(result)
 
     if len(reference) == 0:
         return PrecisionRecall(precision, 1.0)
-    covered = 0
-    for t in reference:
-        if any(
-            fact_matches(f, t) is not None for f in result.facts_of(t.relation)
-        ):
-            covered += 1
-    recall = covered / len(reference)
-    return PrecisionRecall(precision, recall)
+    return PrecisionRecall(precision, len(covered) / len(reference))
 
 
 def data_quality(

@@ -3,6 +3,7 @@
 from repro.homomorphism.core import core_of, fold_count, is_core
 from repro.homomorphism.covers import CoverComputer, covers, creates, error_facts
 from repro.homomorphism.search import (
+    FactIndex,
     fact_homomorphisms,
     fact_matches,
     find_homomorphism,
@@ -12,6 +13,7 @@ from repro.homomorphism.search import (
 
 __all__ = [
     "CoverComputer",
+    "FactIndex",
     "core_of",
     "covers",
     "creates",

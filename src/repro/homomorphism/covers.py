@@ -25,23 +25,49 @@ semantics numerically:
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, Value, is_null
-from repro.homomorphism.search import fact_matches, has_fact_homomorphism
+from repro.homomorphism.search import FactIndex, fact_matches, has_fact_homomorphism
+
+
+def repr_order(facts: Iterable[Fact]) -> dict[Fact, int]:
+    """Each fact's position in the repr-sorted order of *facts*."""
+    return {f: i for i, f in enumerate(sorted(facts, key=repr))}
 
 
 class CoverComputer:
-    """Computes cover degrees of J-facts by one candidate's chase instance.
+    """The cover table of J by one candidate's chase instance.
 
-    Construction indexes the chase instance by null so corroboration
-    checks touch only the facts sharing the null; results of the
-    corroboration subquery are memoized.
+    Construction computes the whole table chase-fact-first: each chase
+    fact is matched only against the J facts a :class:`FactIndex` of J
+    admits, and every J fact keeps its best :meth:`degree_via` over the
+    chase facts matching it.  :attr:`table` lists the non-zero degrees in
+    the order of *order* (default: J in repr order), and :meth:`degree`
+    is a lookup into it.
+
+    *target_example* is J as an :class:`Instance` or a prebuilt
+    :class:`FactIndex` of it; corroboration searches all of it.  *order*
+    maps the J facts to tabulate to their positions; facts outside it
+    (e.g. outside a sample of J) get no entry.  Callers building many
+    tables against one J pass the same index and order to each.
+
+    The chase instance is indexed by null so corroboration checks touch
+    only the facts sharing the null; corroboration results are memoized.
     """
 
-    def __init__(self, chase_instance: Instance, target_example: Instance):
-        self._chase = chase_instance
+    def __init__(
+        self,
+        chase_instance: Iterable[Fact],
+        target_example: Instance | FactIndex,
+        order: Mapping[Fact, int] | None = None,
+    ):
+        if not isinstance(target_example, FactIndex):
+            target_example = FactIndex(target_example)
         self._j = target_example
+        if order is None:
+            order = repr_order(target_example)
         self._facts_with_null: dict[LabeledNull, list[Fact]] = {}
         for f in chase_instance:
             # dict.fromkeys dedups while keeping first-appearance order,
@@ -49,6 +75,17 @@ class CoverComputer:
             for n in dict.fromkeys(f.nulls):
                 self._facts_with_null.setdefault(n, []).append(f)
         self._corroboration_cache: dict[tuple[Fact, LabeledNull, Value], bool] = {}
+        best: dict[Fact, Fraction] = {}
+        for chase_fact in chase_instance:
+            for target_fact, _ in self._j.images(chase_fact):
+                if target_fact not in order or best.get(target_fact) == 1:
+                    continue
+                d = self._explained(chase_fact, target_fact)
+                if d > best.get(target_fact, 0):
+                    best[target_fact] = d
+        self.table: dict[Fact, Fraction] = {
+            t: best[t] for t in sorted(best, key=order.__getitem__)
+        }
 
     def _is_corroborated(self, origin: Fact, null: LabeledNull, image: Value) -> bool:
         """Does *null* (bound to *image*) occur in another chase fact mapping into J?"""
@@ -68,9 +105,12 @@ class CoverComputer:
 
     def degree_via(self, chase_fact: Fact, target_fact: Fact) -> Fraction:
         """Cover degree of *target_fact* via the single *chase_fact* (0 if no hom)."""
-        binding = fact_matches(chase_fact, target_fact)
-        if binding is None:
+        if fact_matches(chase_fact, target_fact) is None:
             return Fraction(0)
+        return self._explained(chase_fact, target_fact)
+
+    def _explained(self, chase_fact: Fact, target_fact: Fact) -> Fraction:
+        """:meth:`degree_via` for a pair already known to match."""
         explained = 0
         for value, image in zip(chase_fact.values, target_fact.values):
             if not is_null(value):
@@ -80,17 +120,12 @@ class CoverComputer:
         return Fraction(explained, target_fact.arity)
 
     def degree(self, target_fact: Fact) -> Fraction:
-        """Best cover degree of *target_fact* over all chase facts (the paper's covers)."""
-        best = Fraction(0)
-        # repro-lint: disable=RPL002 -- max over all chase facts with a
-        # strict improvement test: the result is order-independent.
-        for chase_fact in self._chase.facts_of(target_fact.relation):
-            d = self.degree_via(chase_fact, target_fact)
-            if d > best:
-                best = d
-                if best == 1:
-                    break
-        return best
+        """Best cover degree of *target_fact* over all chase facts (the paper's covers).
+
+        A lookup into :attr:`table`: 0 for J facts nothing covers and for
+        facts outside J or outside *order*.
+        """
+        return self.table.get(target_fact, Fraction(0))
 
 
 def covers(chase_instance: Instance, target_fact: Fact, target_example: Instance) -> Fraction:
@@ -98,7 +133,7 @@ def covers(chase_instance: Instance, target_fact: Fact, target_example: Instance
     return CoverComputer(chase_instance, target_example).degree(target_fact)
 
 
-def creates(chase_fact: Fact, target_example: Instance) -> bool:
+def creates(chase_fact: Fact, target_example: Instance | FactIndex) -> bool:
     """True iff *chase_fact* has no homomorphic image in the target example.
 
     Such a fact is a (potential) error of any selection containing the
@@ -107,6 +142,8 @@ def creates(chase_fact: Fact, target_example: Instance) -> bool:
     return not has_fact_homomorphism(chase_fact, target_example)
 
 
-def error_facts(chase_instance: Instance, target_example: Instance) -> list[Fact]:
+def error_facts(
+    chase_instance: Instance, target_example: Instance | FactIndex
+) -> list[Fact]:
     """All facts of *chase_instance* that :func:`creates` flags as errors."""
     return [f for f in chase_instance if creates(f, target_example)]

@@ -31,19 +31,20 @@ instead of re-grounding (see ``docs/incremental.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Iterator, Union
 
 from repro.datamodel.instance import Fact, Instance
 from repro.errors import SelectionError
 from repro.executors import MapExecutor, resolve_executor
-from repro.homomorphism.covers import CoverComputer, creates
 from repro.mappings.tgd import StTgd
 from repro.selection.metrics import (
     CandidateTables,
+    IndexedTarget,
     SelectionProblem,
     _evaluate_indexed,
+    cover_and_error_tables,
     evaluate_candidate,
     merge_candidate_tables,
     next_lineage,
@@ -125,7 +126,9 @@ class MutableSelection:
             raise SelectionError("candidates must be StTgd objects")
         self.executor = executor
         resolved = resolve_executor(executor)
-        evaluate = partial(_evaluate_indexed, self.source, self.target)
+        # J indexed once per target revision: source edits reuse it.
+        self._indexed = IndexedTarget.of(self.target)
+        evaluate = partial(_evaluate_indexed, self.source, self.target, self._indexed)
         self._tables: list[CandidateTables] = list(
             resolved.map(evaluate, list(enumerate(self.candidates)))
         )
@@ -135,40 +138,37 @@ class MutableSelection:
 
     def _merge(self, parent) -> SelectionProblem:
         problem = merge_candidate_tables(
-            self.source.copy(), self.target.copy(), list(self.candidates), self._tables
+            self.source.copy(),
+            self.target.copy(),
+            list(self.candidates),
+            self._tables,
+            j_facts=list(self._indexed.order),
         )
         problem.lineage = next_lineage(parent)
         return problem
 
-    def _rechase(self, index: int) -> CandidateTables:
-        self.rechased_candidates += 1
-        return evaluate_candidate(
-            self.source, self.target, self.candidates[index], index
-        )
+    def _rechase(self, indices: Iterable[int]) -> None:
+        """Re-chase the candidates at *indices* against the unchanged target."""
+        for i in indices:
+            self.rechased_candidates += 1
+            self._tables[i] = evaluate_candidate(
+                self.source, self.target, self.candidates[i], i, self._indexed
+            )
 
-    def _retable(self, table: CandidateTables) -> CandidateTables:
-        """Recompute covers/errors against the current target, reusing the chase.
+    def _retable(self) -> None:
+        """Re-index the edited target and recompute every candidate's covers/errors.
 
+        The chases are reused, and J is indexed once for all of them.
         Cover degrees and ``creates`` are invariant under null
         relabeling, so computing them on the local-label chase facts
         yields exactly what a from-scratch evaluation would.
         """
-        k_theta = Instance(table.chase_facts)
-        computer = CoverComputer(k_theta, self.target)
-        covers = {}
-        for t in sorted(self.target, key=repr):
-            degree = computer.degree(t)
-            if degree > 0:
-                covers[t] = degree
-        return CandidateTables(
-            index=table.index,
-            chase_facts=table.chase_facts,
-            covers=covers,
-            error_facts=frozenset(
-                f for f in table.chase_facts if creates(f, self.target)
-            ),
-            nulls_used=table.nulls_used,
-        )
+        self._indexed = IndexedTarget.of(self.target)
+        tables = []
+        for table in self._tables:
+            covers, errors = cover_and_error_tables(table.chase_facts, self._indexed)
+            tables.append(replace(table, covers=covers, error_facts=errors))
+        self._tables = tables
 
     def _body_relations(self, index: int) -> frozenset[str]:
         return frozenset(a.relation for a in self.candidates[index].body)
@@ -178,11 +178,11 @@ class MutableSelection:
         if isinstance(mutation, AddTargetTuple):
             if not self.target.add(mutation.fact):
                 raise SelectionError(f"{mutation.fact} already in target")
-            self._tables = [self._retable(t) for t in self._tables]
+            self._retable()
         elif isinstance(mutation, RemoveTargetTuple):
             if not self.target.discard(mutation.fact):
                 raise SelectionError(f"{mutation.fact} not in target")
-            self._tables = [self._retable(t) for t in self._tables]
+            self._retable()
         elif isinstance(mutation, (AddSourceTuple, RemoveSourceTuple)):
             if isinstance(mutation, AddSourceTuple):
                 if not self.source.add(mutation.fact):
@@ -194,14 +194,14 @@ class MutableSelection:
             # touched relation; everyone else's chase — and, with the
             # target untouched, covers and errors too — stands as-is.
             touched = mutation.fact.relation
-            for i in range(len(self.candidates)):
-                if touched in self._body_relations(i):
-                    self._tables[i] = self._rechase(i)
+            self._rechase(
+                i for i in range(len(self.candidates)) if touched in self._body_relations(i)
+            )
         elif isinstance(mutation, FlipCandidate):
             if not 0 <= mutation.index < len(self.candidates):
                 raise SelectionError(f"no candidate at index {mutation.index}")
             self.candidates[mutation.index] = mutation.candidate
-            self._tables[mutation.index] = self._rechase(mutation.index)
+            self._rechase([mutation.index])
         else:
             raise SelectionError(f"unknown mutation {mutation!r}")
         self.problem = self._merge(parent=self.problem.lineage)

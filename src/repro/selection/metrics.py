@@ -33,14 +33,15 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.chase.engine import chase
 from repro.executors import MapExecutor, resolve_executor
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, NullFactory
 from repro.errors import SelectionError
-from repro.homomorphism.covers import CoverComputer, creates
+from repro.homomorphism.covers import CoverComputer, creates, repr_order
+from repro.homomorphism.search import FactIndex
 from repro.mappings.tgd import StTgd
 
 
@@ -212,45 +213,78 @@ class CandidateTables:
         return chase_instance, errors
 
 
+class IndexedTarget(NamedTuple):
+    """J prepared once for a whole build (or edit): its index and an order.
+
+    ``index`` is a :class:`FactIndex` of all of J; ``order`` maps the J
+    facts to tabulate covers for to their positions (normally all of J
+    in repr order; a sample of it when J is sampled).
+    """
+
+    index: FactIndex
+    order: Mapping[Fact, int]
+
+    @classmethod
+    def of(cls, target: Instance) -> "IndexedTarget":
+        return cls(FactIndex(target), repr_order(target))
+
+
+def cover_and_error_tables(
+    chase_facts: Iterable[Fact], target: IndexedTarget
+) -> tuple[dict[Fact, Fraction], frozenset[Fact]]:
+    """One candidate's cover table and error set against an indexed J.
+
+    Covers tabulate the J facts in ``target.order``, in that order;
+    errors and cover corroboration test against all of J.
+    """
+    chase_facts = tuple(chase_facts)
+    computer = CoverComputer(chase_facts, target.index, target.order)
+    errors = frozenset(f for f in chase_facts if creates(f, target.index))
+    return computer.table, errors
+
+
 def evaluate_candidate(
     source: Instance,
     target: Instance,
     candidate: StTgd,
     index: int = 0,
+    indexed: IndexedTarget | None = None,
 ) -> CandidateTables:
     """The per-candidate work unit: chase, cover table, error set.
 
     Pure and picklable — safe to ship to a worker process.  Null labels in
-    the result are candidate-local (they start at 0).
+    the result are candidate-local (they start at 0).  *indexed* is
+    *target* prepared by :meth:`IndexedTarget.of`, when the caller shares
+    one across a whole build.
     """
     factory = _CountingNullFactory()
     k_theta = chase(source, [candidate], factory).by_tgd[candidate]
-    computer = CoverComputer(k_theta, target)
-    table: dict[Fact, Fraction] = {}
-    for t in sorted(target, key=repr):
-        degree = computer.degree(t)
-        if degree > 0:
-            table[t] = degree
+    covers, errors = cover_and_error_tables(
+        k_theta, indexed if indexed is not None else IndexedTarget.of(target)
+    )
     return CandidateTables(
         index=index,
         chase_facts=tuple(sorted(k_theta, key=repr)),
-        covers=table,
-        error_facts=frozenset(f for f in k_theta if creates(f, target)),
+        covers=covers,
+        error_facts=errors,
         nulls_used=factory.used,
     )
 
 
 def _evaluate_indexed(
-    source: Instance, target: Instance, work: tuple[int, StTgd]
+    source: Instance,
+    target: Instance,
+    indexed: IndexedTarget,
+    work: tuple[int, StTgd],
 ) -> CandidateTables:
-    """Adapter for executor ``map``: bind (source, target) via ``partial``.
+    """Adapter for executor ``map``: bind the shared inputs via ``partial``.
 
-    Keeping the shared instances in the function (pickled once per
-    dispatch chunk) instead of in every work item avoids serializing the
-    full source/target once per candidate on the process-pool path.
+    Keeping the shared instances and J's index in the function (pickled
+    once per dispatch chunk) instead of in every work item avoids
+    serializing them once per candidate on the process-pool path.
     """
     index, candidate = work
-    return evaluate_candidate(source, target, candidate, index)
+    return evaluate_candidate(source, target, candidate, index, indexed)
 
 
 def merge_candidate_tables(
@@ -258,12 +292,14 @@ def merge_candidate_tables(
     target: Instance,
     candidates: Sequence[StTgd],
     results: Iterable[CandidateTables],
+    j_facts: list[Fact] | None = None,
 ) -> SelectionProblem:
     """Deterministically merge per-candidate tables into a SelectionProblem.
 
     Results may arrive in any order; they are realigned by index and each
     candidate's local null labels are shifted past all labels consumed by
     earlier candidates — exactly the labels one shared factory would give.
+    *j_facts* is *target* in repr order, when the caller already sorted it.
     """
     ordered = sorted(results, key=lambda r: r.index)
     if [r.index for r in ordered] != list(range(len(candidates))):
@@ -283,7 +319,7 @@ def merge_candidate_tables(
         candidates=list(candidates),
         source=source,
         target=target,
-        j_facts=sorted(target, key=repr),
+        j_facts=j_facts if j_facts is not None else sorted(target, key=repr),
         covers=covers_tables,
         error_facts=error_sets,
         sizes=[c.size for c in candidates],
@@ -307,7 +343,12 @@ def build_selection_problem(
     if not all(isinstance(c, StTgd) for c in candidates):
         raise SelectionError("candidates must be StTgd objects")
     executor = resolve_executor(executor)
-    evaluate = partial(_evaluate_indexed, source, target)
+    indexed = IndexedTarget.of(target)
+    evaluate = partial(_evaluate_indexed, source, target, indexed)
     return merge_candidate_tables(
-        source, target, candidates, executor.map(evaluate, list(enumerate(candidates)))
+        source,
+        target,
+        candidates,
+        executor.map(evaluate, list(enumerate(candidates))),
+        j_facts=list(indexed.order),
     )

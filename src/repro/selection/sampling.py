@@ -1,10 +1,11 @@
 """Scaling to large data examples by sampling J.
 
-On large examples the dominant cost of building a selection problem is
-the **covers** table: one homomorphism sweep per (candidate chase fact,
-J fact) pair, with corroboration subqueries.  The coverage term is a sum
-over J, so a uniform sample estimates it unbiasedly: compute covers on a
-``rate``-sample of J and scale the explains weight by the inverse rate.
+On large examples a large share of the cost of building a selection
+problem is the **covers** table: a cover degree, with corroboration
+subqueries, for every (chase fact, J fact) pair that matches.  The
+coverage term is a sum over J, so a uniform sample estimates it
+unbiasedly: compute covers on a ``rate``-sample of J and scale the
+explains weight by the inverse rate.
 
 The **creates/error** test stays on the *full* J: it is a cheap per-
 chase-fact membership-style check, and running it against a thinned J
@@ -12,7 +13,8 @@ would spuriously flag explained facts as errors (a chase fact whose
 image was sampled out looks unjustified).  Size is exact by definition.
 
 The result: coverage unbiased in expectation, errors and size exact,
-metric-construction cost dropping linearly in the rate.
+and the cover-degree work dropping linearly in the rate.  The chases
+and the indexed matching against the full J do not shrink with it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from repro.chase.engine import chase
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import NullFactory
 from repro.errors import SelectionError
-from repro.homomorphism.covers import CoverComputer, creates
+from repro.homomorphism.search import FactIndex
 from repro.mappings.tgd import StTgd
-from repro.selection.metrics import SelectionProblem
+from repro.selection.metrics import IndexedTarget, SelectionProblem, cover_and_error_tables
 from repro.selection.objective import DEFAULT_WEIGHTS, ObjectiveWeights
 
 
@@ -71,19 +73,16 @@ def sample_selection_problem(
     error_sets: list[frozenset[Fact]] = []
     chases: list[Instance] = []
     j_facts = sorted(sampled_target, key=repr)
+    # Covers tabulate the sample; corroboration and errors search the
+    # full J, so a sampled-out witness does not weaken a null or make
+    # an explained chase fact look like an error.
+    indexed = IndexedTarget(FactIndex(target), {t: i for i, t in enumerate(j_facts)})
     for candidate in candidates:
         k_theta = chase(source, [candidate], factory).by_tgd[candidate]
         chases.append(k_theta)
-        # Covers against the sample; corroboration against the full J so a
-        # sampled-out witness does not artificially weaken a null.
-        computer = CoverComputer(k_theta, target)
-        table: dict[Fact, Fraction] = {}
-        for t in j_facts:
-            degree = computer.degree(t)
-            if degree > 0:
-                table[t] = degree
-        covers_tables.append(table)
-        error_sets.append(frozenset(f for f in k_theta if creates(f, target)))
+        covers, errors = cover_and_error_tables(k_theta, indexed)
+        covers_tables.append(covers)
+        error_sets.append(errors)
 
     problem = SelectionProblem(
         candidates=list(candidates),

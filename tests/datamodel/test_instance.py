@@ -144,3 +144,48 @@ def test_scenario_generation_is_hash_seed_independent():
             ).stdout
         )
     assert len(outputs) == 1
+
+
+def test_fact_hash_is_the_field_tuple_hash():
+    # The cached hash must equal what the generated dataclass hash
+    # returned, so every set and dict of facts keeps its order.
+    for f in (fact("r", 1, "a"), fact("r", LabeledNull(3), 2), fact("s")):
+        assert hash(f) == hash((f.relation, f.values))
+
+
+def test_fact_copies_rehash():
+    import copy
+    import dataclasses
+
+    f = fact("r", 1, LabeledNull(0))
+    assert hash(copy.copy(f)) == hash(f)
+    assert hash(copy.deepcopy(f)) == hash(f)
+    moved = dataclasses.replace(f, relation="s")
+    assert hash(moved) == hash(("s", f.values))
+    assert moved in {fact("s", 1, LabeledNull(0))}
+
+
+def test_fact_pickled_under_another_hash_seed_is_found():
+    # A fact pickled by a child with a different hash seed must not
+    # carry the child's hash into this process.
+    import pickle
+    import subprocess
+    import sys
+
+    from tests._subprocess import child_env
+
+    script = (
+        "import pickle, sys\n"
+        "from repro.datamodel.instance import fact\n"
+        "sys.stdout.buffer.write(pickle.dumps([fact('task', 'ML', 'Alice', 111)]))\n"
+    )
+    payload = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        check=True,
+        env=child_env(PYTHONHASHSEED="12345"),
+    ).stdout
+    (f,) = pickle.loads(payload)
+    assert hash(f) == hash((f.relation, f.values))
+    assert f in {fact("task", "ML", "Alice", 111)}
+    assert f in Instance([fact("task", "ML", "Alice", 111)])
