@@ -5,8 +5,8 @@ machine-readable twin of its stdout table under ``benchmarks/results/``
 (:func:`benchmarks._common.record_json`).  CI uploads that directory as
 an artifact per run; this script folds whichever of the known artifacts
 are present into a single EXPERIMENTS-style speedup table
-(``results/SUMMARY.md``), so the recorded multi-core numbers read as one
-document instead of five JSON blobs — the "pull the recorded speedup
+(``results/SUMMARY.md``), so the recorded numbers read as one
+document instead of four JSON blobs — the "pull the recorded speedup
 numbers into EXPERIMENTS-style results" item of the ROADMAP.
 
 Usage::
@@ -51,23 +51,11 @@ def _rows_sharded_grounding(data: dict) -> list[list[str]]:
     return [
         [
             "sharded grounding",
-            f"serial shards vs process pool ({data.get('num_shards', '?')} shards, "
-            f"{data.get('total_terms', '?')} terms)",
-            _fmt_seconds(data["sharded_serial_seconds"]),
-            _fmt_seconds(data["sharded_process_seconds"]),
-            _fmt_speedup(data["process_speedup_vs_sharded_serial"]),
-        ]
-    ]
-
-
-def _rows_parallel_engine(data: dict) -> list[list[str]]:
-    return [
-        [
-            "parallel problem build",
-            f"serial vs {data.get('workers', '?')} process workers",
-            _fmt_seconds(data["serial_seconds"]),
-            _fmt_seconds(data["parallel_seconds"]),
-            _fmt_speedup(data["speedup"]),
+            f"monolithic dict program vs shards ({data.get('num_shards', '?')} "
+            f"shards, {data.get('total_terms', '?')} terms)",
+            _fmt_seconds(data["monolithic_seconds"]),
+            _fmt_seconds(data["sharded_seconds"]),
+            _fmt_speedup(data["speedup_vs_monolithic"]),
         ]
     ]
 
@@ -146,7 +134,6 @@ def _rows_incremental(data: dict) -> list[list[str]]:
 #: filename -> row extractor.  Order fixes the table's row order.
 KNOWN_ARTIFACTS = {
     "sharded_grounding.json": _rows_sharded_grounding,
-    "parallel_engine_build.json": _rows_parallel_engine,
     "reweight.json": _rows_reweight,
     "grounding_store.json": _rows_grounding_store,
     "incremental.json": _rows_incremental,

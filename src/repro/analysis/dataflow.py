@@ -27,7 +27,7 @@ height).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.callgraph import (
     FunctionId,
@@ -158,16 +158,10 @@ class Summary:
       its return value (chains rooted at the generating line).
     * ``return_params`` — parameter indices whose value flows to the
       return (so argument facts propagate through the call).
-    * ``released_params`` / ``mutated_params`` — parameter indices on
-      which a release (``close``/``release``/``unlink``) or a direct
-      mutation (subscript/attribute store, ``fill``) happens, possibly
-      transitively through further calls.
     """
 
     returns: AbstractValue = BOTTOM
     return_params: frozenset[int] = frozenset()
-    released_params: frozenset[int] = frozenset()
-    mutated_params: frozenset[int] = frozenset()
 
 
 EMPTY_SUMMARY = Summary()
@@ -179,20 +173,10 @@ class _FnState:
 
     fn: FunctionInfo
     returns: AbstractValue = BOTTOM
-    released: set[str] = field(default_factory=set)
-    mutated: set[str] = field(default_factory=set)
 
 
 class DataflowEngine:
     """Summary computation + per-function abstract interpretation."""
-
-    #: method names that release their receiver.
-    release_methods = frozenset({"close", "release", "unlink", "shutdown"})
-    #: method names that mutate their receiver in place.
-    mutating_methods = frozenset(
-        {"fill", "sort", "append", "extend", "update", "setdefault", "pop",
-         "clear", "resize"}
-    )
 
     def __init__(self, project: Project):
         self.project = project
@@ -262,17 +246,9 @@ class DataflowEngine:
             for index in range(len(params))
             if state.returns.has(_param_fact(index))
         )
-        released = frozenset(
-            index for index, name in enumerate(params) if name in state.released
-        )
-        mutated = frozenset(
-            index for index, name in enumerate(params) if name in state.mutated
-        )
         return Summary(
             returns=strip_facts(state.returns, "PARAM"),
             return_params=return_params,
-            released_params=released,
-            mutated_params=mutated,
         )
 
     # ------------------------------------------------------------------
@@ -339,7 +315,6 @@ class DataflowEngine:
             self._bind(stmt.target, self._eval(stmt.value, env, state), env, state)
         elif isinstance(stmt, ast.AugAssign):
             value = self._eval(stmt.value, env, state)
-            self._note_mutation(stmt.target, env, state)
             if isinstance(stmt.target, ast.Name):
                 env[stmt.target.id] = join(
                     env.get(stmt.target.id, BOTTOM), value
@@ -404,19 +379,8 @@ class DataflowEngine:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._bind(element, value, env, state)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._note_mutation(target, env, state)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, value, env, state)
-
-    def _note_mutation(self, target, env, state) -> None:
-        """Record a store *through* a name (``x.attr = ...``/``x[i] = ...``)."""
-        base = target
-        while isinstance(base, (ast.Attribute, ast.Subscript)):
-            base = base.value
-        name = terminal_name(base) if not isinstance(base, ast.Name) else base.id
-        if name is not None:
-            state.mutated.add(name)
 
     # ------------------------------------------------------------------
     # expressions
@@ -535,41 +499,23 @@ class DataflowEngine:
                              f"passed through {label}() and returned here"),
                         ),
                     )
-            # Transitive release/mutation of our own names through the call.
-            for index in summary.released_params:
-                if index < len(call.args) and isinstance(call.args[index], ast.Name):
-                    state.released.add(call.args[index].id)
-            for index in summary.mutated_params:
-                if index < len(call.args) and isinstance(call.args[index], ast.Name):
-                    state.mutated.add(call.args[index].id)
 
-        # --- method calls on our own names ---------------------------
-        if isinstance(call.func, ast.Attribute):
-            receiver = call.func.value
-            receiver_name = (
-                receiver.id if isinstance(receiver, ast.Name) else None
-            )
-            if receiver_name is not None:
-                if call.func.attr in self.release_methods:
-                    state.released.add(receiver_name)
-                if call.func.attr in self.mutating_methods:
-                    state.mutated.add(receiver_name)
-            if not targets:
-                # Opaque method call: taint still flows receiver->result
-                # for the picklability fact.
-                base = self._eval(receiver, env, state)
-                kept = base.facts & {"UNPICKLABLE"}
-                kept |= {f for f in base.facts if f.startswith("PARAM")}
-                if kept:
-                    result = join(
-                        result,
-                        AbstractValue(
-                            facts=frozenset(kept),
-                            origins=tuple(
-                                (f, c) for f, c in base.origins if f in kept
-                            ),
+        # --- opaque method calls --------------------------------------
+        if isinstance(call.func, ast.Attribute) and not targets:
+            # Taint still flows receiver->result for the picklability fact.
+            base = self._eval(call.func.value, env, state)
+            kept = base.facts & {"UNPICKLABLE"}
+            kept |= {f for f in base.facts if f.startswith("PARAM")}
+            if kept:
+                result = join(
+                    result,
+                    AbstractValue(
+                        facts=frozenset(kept),
+                        origins=tuple(
+                            (f, c) for f, c in base.origins if f in kept
                         ),
-                    )
+                    ),
+                )
         return result
 
 

@@ -37,6 +37,17 @@ from repro.ibench.generator import generate_scenario
 from repro.io.serialize import load_scenario, save_scenario
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -64,18 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     select.add_argument(
-        "--executor",
-        default="serial",
-        help="where the selection problem is built: serial, thread[:N] or process[:N]",
-    )
-    select.add_argument(
-        "--ground-executor",
-        default=None,
-        help="where the collective HL-MRF grounding shards run: serial, thread[:N] or process[:N]",
-    )
-    select.add_argument(
         "--ground-shard-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="entries per grounding shard (default: sharding module default)",
     )
@@ -109,13 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="where grid cells run: serial, thread[:N] or process[:N]",
     )
     sweep.add_argument(
-        "--ground-executor",
-        default=None,
-        help="where the collective HL-MRF grounding shards run: serial, thread[:N] or process[:N]",
-    )
-    sweep.add_argument(
         "--ground-shard-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="entries per grounding shard (default: sharding module default)",
     )
@@ -201,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--steps", type=int, default=6, help="mutations to replay")
     chain.add_argument(
         "--ground-shard-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="entries per grounding shard (default: sharding module default)",
     )
@@ -231,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repro-lint invariant checkers (RPL001, RPL002, RPL004, "
-        "RPL005 syntactic; RPL010, RPL012 flow)",
+        help="run the repro-lint invariant checkers (RPL001, RPL002, RPL005 "
+        "syntactic; RPL010, RPL012 flow)",
     )
     lint.add_argument(
         "paths",
@@ -308,25 +304,20 @@ def _cmd_select(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     names = list(METHOD_REGISTRY) if args.method == "all" else [args.method]
     methods = {name: METHOD_REGISTRY[name] for name in names}
-    knobs = (
-        args.ground_executor,
-        args.ground_shard_size,
-        args.grounding_store,
-    )
+    knobs = (args.ground_shard_size, args.grounding_store)
     if "collective" in methods and (
         any(knob is not None for knob in knobs) or args.no_incremental
     ):
         methods["collective"] = partial(
             solve_collective,
             settings=CollectiveSettings(
-                ground_executor=args.ground_executor,
                 ground_shard_size=args.ground_shard_size,
                 grounding_store=args.grounding_store,
                 incremental=not args.no_incremental,
             ),
         )
     start = time.perf_counter()
-    problem = scenario.selection_problem(executor=args.executor)
+    problem = scenario.selection_problem()
     problem_seconds = time.perf_counter() - start
     cells = run_scenario(
         scenario,
@@ -431,7 +422,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         executor=args.executor,
         warm_start=not args.no_warm_start,
         cache_dir=args.cache_dir,
-        ground_executor=args.ground_executor,
         ground_shard_size=args.ground_shard_size,
         grounding_store=args.grounding_store,
         incremental=not args.no_incremental,

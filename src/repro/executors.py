@@ -1,30 +1,31 @@
-"""Pluggable map-style executors for embarrassingly parallel work.
+"""Pluggable map-style executors for the evaluation grid.
 
-The selection pipeline, the evaluation engine, and sharded grounding
-all fan out over independent, picklable work units (one per candidate,
-per grid cell, per grounding shard).  This module gives them a common,
+One selection problem is always built, ground and solved in the calling
+process: splitting a single problem across workers never paid at any
+measured scale (``docs/solver.md``, "Removed, and why").  The axis that
+does pay is the :class:`~repro.evaluation.engine.EvaluationEngine` grid
+of independent, picklable cells, and this module gives it a common,
 minimal execution abstraction:
 
 * :class:`SerialExecutor` — in-process ``map``; zero overhead, always
   available, shares in-process caches with the caller;
 * :class:`ThreadExecutor` — a shared ``ThreadPoolExecutor``; cheap
-  per-call dispatch and shared memory, a good backend for numpy-heavy
-  steps (which release the GIL) mapped many times;
+  per-call dispatch and shared memory;
 * :class:`ProcessExecutor` — ``concurrent.futures.ProcessPoolExecutor``
   with chunked dispatch; true multi-core parallelism for CPU-bound pure
   Python work.  In **persistent** mode the worker pool outlives
-  individual ``map`` calls (created lazily, initializer applied once per
-  worker), so a caller that maps many times — grid lanes, repeated
-  sharded grounds — pays the pool spawn once, not per map.
+  individual ``map`` calls (created lazily), so a caller that maps many
+  times — the waves of a warm-started grid — pays the pool spawn once,
+  not per map.
 
 All executors preserve input order, so callers get deterministic merges
 for free.  The parallel ``map`` paths *stream*: they return a generator
 that keeps only a bounded window of work in flight, so a caller that
-merges results one by one (sharded grounding) holds O(window) results,
-not O(all work units).  ``resolve_executor`` turns user-facing specs
-(``"serial"``, ``"thread[:N]"``, ``"process[:8]"``) into executor
-objects — the form the CLI exposes — handing out one shared (and, for
-processes, persistent) instance per backend and worker count.
+merges results one by one holds O(window) results, not O(all work
+units).  ``resolve_executor`` turns user-facing specs (``"serial"``,
+``"thread[:N]"``, ``"process[:8]"``) into executor objects — the form
+the CLI exposes — handing out one shared (and, for processes,
+persistent) instance per backend and worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import threading
 import weakref
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
 from itertools import islice
 from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
@@ -82,33 +82,17 @@ if hasattr(os, "register_at_fork"):  # not on Windows
     os.register_at_fork(after_in_child=_reset_executors_after_fork)
 
 
-def _close_process_executors_at_exit(force: bool = False) -> None:
+def _close_process_executors_at_exit() -> None:
     """Shut down every live persistent process pool before exit joins.
 
-    Two exit paths need this, and neither runs the other's hooks:
-
-    * a normal interpreter exit runs ``threading._shutdown``, whose
-      first registered callbacks fire *before* non-daemon threads are
-      joined — closing the pools here lets ``concurrent.futures``' own
-      exit hook find everything already shut down instead of joining
-      worker processes that still hold open grandchild pools;
-    * a *pool worker* process exits through ``os._exit`` after
-      ``multiprocessing.util._exit_function``, skipping
-      ``threading._shutdown`` entirely — but running util finalizers.
-      Without this hook, a worker that resolved ``"process:N"`` for its
-      own nested maps (an engine cell grounding/solving through process
-      executors) would join its inner pool's processes at exit while
-      nothing ever told them to stop: a deadlock that freezes the whole
-      grid at shutdown.
-
-    *force* (the multiprocessing-finalizer path, where no thread will
-    ever consume a registered stream again) shuts pools down even with
-    live stream registrations; the threading path stays graceful so a
-    still-running consumer thread can drain first.
+    A normal interpreter exit runs ``threading._shutdown``, whose first
+    registered callbacks fire *before* non-daemon threads are joined —
+    closing the pools here lets ``concurrent.futures``' own exit hook
+    find everything already shut down.
     """
     for executor in list(_LIVE_PROCESS_EXECUTORS):
         try:
-            executor.close(force=force)
+            executor.close()
         except Exception:
             pass
 
@@ -119,54 +103,18 @@ if hasattr(threading, "_register_atexit"):
     threading._register_atexit(_close_process_executors_at_exit)
 
 
-_EXIT_CLOSE_PID: int | None = None
-
-
-def _register_exit_close() -> None:
-    """Register the exit hook with *this process's* multiprocessing util.
-
-    ``util.Finalize`` entries are pid-guarded AND the registry is
-    cleared by ``BaseProcess._bootstrap`` in every multiprocessing
-    child, so registering at import or at fork time is useless inside a
-    pool worker — the registration must happen lazily, after bootstrap,
-    in whichever process actually creates a persistent pool
-    (:meth:`ProcessExecutor._ensure_pool` calls this).  The hook also
-    runs a second time in the driver via multiprocessing's atexit;
-    ``close`` is idempotent, so that is harmless.
-    """
-    global _EXIT_CLOSE_PID
-    if _EXIT_CLOSE_PID == os.getpid():
-        return
-    try:
-        from multiprocessing import util as _mp_util
-
-        _mp_util.Finalize(
-            None, _close_process_executors_at_exit, args=(True,), exitpriority=50
-        )
-        _EXIT_CLOSE_PID = os.getpid()
-    except Exception:  # pragma: no cover - multiprocessing always importable
-        pass
-
-
 class ThreadExecutor:
     """Run work units on a shared thread pool (created lazily, reused).
 
     Threads share the caller's memory, so work units need not be
     picklable and large arrays travel for free — but pure-Python work
-    still serializes on the GIL.  The sweet spot is numpy-dominated
-    steps mapped many times, where per-call pool reuse matters and the
-    heavy ops release the GIL.  Instances pickle as their configuration
-    only; the pool is rebuilt lazily wherever they land.
+    still serializes on the GIL.  Instances pickle as their
+    configuration only; the pool is rebuilt lazily wherever they land.
 
     The pool is kept for the instance's lifetime (idle threads are
     joined at interpreter exit); :func:`resolve_executor` hands out one
-    shared instance per worker count, so resolving ``"thread:N"`` once
-    per grid cell does not accumulate pools.  Because instances are shared,
-    a :meth:`map` issued *from one of the pool's own worker threads*
-    (e.g. an engine grid on ``thread:2`` whose cells ground with
-    ``thread:2``) runs inline instead of queueing: the nested tasks
-    would otherwise wait behind the very jobs occupying every worker —
-    a deadlock, not a slowdown.
+    shared instance per worker count, so resolving ``"thread:N"``
+    repeatedly does not accumulate pools.
     """
 
     def __init__(self, max_workers: int | None = None):
@@ -175,26 +123,17 @@ class ThreadExecutor:
         _LIVE_THREAD_EXECUTORS.add(self)
 
     def _discard_pool(self) -> None:
-        """Forget the pool and its worker bookkeeping (fresh state)."""
+        """Forget the pool (fresh state / after fork)."""
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._worker_idents: set[int] = set()
-
-    def _register_worker(self) -> None:
-        self._worker_idents.add(threading.get_ident())
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         items = list(items)
         if len(items) <= 1 or self.max_workers <= 1:
             return map(fn, items)
-        if threading.get_ident() in self._worker_idents:
-            # Nested map from our own pool: run inline (see class doc).
-            return map(fn, items)
         with self._lock:
             if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, initializer=self._register_worker
-                )
+                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._stream(fn, items, self._pool)
 
     def _stream(
@@ -237,42 +176,6 @@ def _run_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
     return [fn(item) for item in chunk]
 
 
-def initializer_scope(initializer: Callable[..., None], initargs: tuple):
-    """Run *initializer* for the calling thread, scoped when possible.
-
-    The one place the initializer scope-hook protocol lives: an
-    initializer exposing a ``scope`` attribute (a context-manager
-    factory taking *initargs*, e.g.
-    :func:`repro.psl.program.install_shared_database`) is entered so the
-    state it installs is restored on exit; one without the hook is
-    called bare and keeps the classic run-once contract.  Used by the
-    process executor's serial fallback and by any caller that must run a
-    worker initializer on the calling thread
-    (:func:`repro.psl.sharding.ground_shards`).
-    """
-    scope = getattr(initializer, "scope", None)
-    if scope is not None:
-        return scope(*initargs)
-    initializer(*initargs)
-    return nullcontext()
-
-
-def _initarg_tokens(initargs: tuple) -> tuple:
-    """Current state tokens of initializer arguments (None when untracked).
-
-    Identity comparison alone cannot see *in-place mutation* of a
-    payload between maps; arguments may expose a ``state_token()``
-    method (e.g. :meth:`repro.psl.database.Database.state_token`) whose
-    value changes with their contents, and a persistent pool is only
-    reused while the tokens recorded at pool creation still match.
-    """
-    tokens = []
-    for arg in initargs:
-        token = getattr(arg, "state_token", None)
-        tokens.append(token() if callable(token) else None)
-    return tuple(tokens)
-
-
 #: Upper bound on items per dispatched chunk.  Deriving chunk size only
 #: from ``len(items)`` would make the streaming window's memory O(n)
 #: in disguise (2×workers chunks of n/(4×workers) items each is half the
@@ -296,7 +199,7 @@ class ProcessExecutor:
       across calls, discarded in forked children (like
       :class:`ThreadExecutor`), shut down by :meth:`close` (the executor
       is a context manager) or at interpreter exit.  This is what makes
-      repeated process-backed maps (grid lanes, sharded grounds)
+      repeated process-backed maps (the waves of a warm-started grid)
       actually fast.
 
     Work is dispatched in chunks to amortize IPC.  The returned
@@ -306,18 +209,6 @@ class ProcessExecutor:
     O(all items).  If a work unit raises or the consumer abandons the
     generator early, in-flight chunks are cancelled (and, in fresh-pool
     mode, the pool is shut down) — nothing keeps running unobserved.
-
-    *initializer*/*initargs* run once per worker process — the hook for
-    shipping a large shared payload (e.g. a grounding database) once per
-    worker instead of once per work unit.  A persistent pool remembers
-    the initializer it was built with: later maps with the same
-    initializer (or none) reuse the warm workers, a *different*
-    initializer recycles the pool so stale worker state can never leak
-    between programs.  On the serial fallback (one item or one worker)
-    the initializer runs in the calling process — scoped, when it
-    exposes a ``scope`` context-manager attribute (e.g.
-    :func:`repro.psl.program.install_shared_database`), so the driver's
-    globals are restored once the map completes.
 
     Instances pickle as their configuration only; the pool is rebuilt
     lazily wherever they land.
@@ -332,13 +223,10 @@ class ProcessExecutor:
     def _discard_pool(self) -> None:
         """Forget the pool without shutdown (fresh state / after fork)."""
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_initializer: Callable[..., None] | None = None
-        self._pool_initargs: tuple = ()
-        self._pool_init_tokens: tuple = ()
-        #: Live streaming maps per pool — a pool displaced by an
-        #: initializer recycle (or close()) while another thread's
-        #: stream is still submitting to it must not be shut down under
-        #: that stream; the last stream to finish retires it instead.
+        #: Live streaming maps per pool — a pool displaced by a broken-
+        #: pool recycle (or close()) while another thread's stream is
+        #: still submitting to it must not be shut down under that
+        #: stream; the last stream to finish retires it instead.
         self._active: dict[ProcessPoolExecutor, int] = {}
         #: Pools whose stream slot was released from GC context (a
         #: collected never-started generator), where taking the executor
@@ -347,25 +235,17 @@ class ProcessExecutor:
         self._zombies: deque = deque()
         self._lock = threading.Lock()
 
-    def close(self, force: bool = False) -> None:
+    def close(self) -> None:
         """Shut down the persistent pool (if any); the executor stays
         usable — a later :meth:`map` lazily builds a fresh pool.
 
-        A pool with registered live streams is normally retired by the
-        last stream's exit rather than shut down under it; *force*
-        (used by the process-exit hook, where no stream will ever run
-        again) shuts it down regardless — ``shutdown`` is idempotent,
-        so a zombie stream's later retire attempt is harmless.
+        A pool with registered live streams is retired by the last
+        stream's exit rather than shut down under it.
         """
         self._drain_zombies()
         with self._lock:
             pool, self._pool = self._pool, None
-            self._pool_initializer = None
-            self._pool_initargs = ()
-            self._pool_init_tokens = ()
-            defer = (
-                not force and pool is not None and self._active.get(pool, 0) > 0
-            )
+            defer = pool is not None and self._active.get(pool, 0) > 0
         if pool is not None and not defer:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -423,17 +303,10 @@ class ProcessExecutor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> Iterator[R]:
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         items = list(items)
         if len(items) <= 1 or self.max_workers <= 1:
-            return self._serial(fn, items, initializer, initargs)
+            return map(fn, items)
         # Ceil-divide so a small map fills one in-flight window (about
         # 2×workers chunks) instead of degenerating to one item per
         # chunk: every chunk is an IPC round trip, and a latency-bound
@@ -444,9 +317,9 @@ class ProcessExecutor:
         )
         chunks = [items[lo : lo + chunksize] for lo in range(0, len(items), chunksize)]
         if not self.persistent:
-            return self._stream_fresh(fn, chunks, initializer, initargs)
+            return self._stream_fresh(fn, chunks)
         self._drain_zombies()
-        pool = self._ensure_pool(initializer, initargs)
+        pool = self._ensure_pool()
         released = [False]
         stream = self._stream_persistent(fn, chunks, pool, released)
         # A generator that is never started never runs its finally; the
@@ -464,7 +337,7 @@ class ProcessExecutor:
     ) -> Iterator[R]:
         # _ensure_pool registered this stream on the pool (atomically
         # with the reuse-vs-recycle decision); deregistering in a finally
-        # lets a concurrent initializer recycle defer the old pool's
+        # lets a concurrent recycle or close() defer the old pool's
         # shutdown until the last stream on it drains.
         try:
             yield from self._windowed(fn, chunks, pool)
@@ -481,53 +354,10 @@ class ProcessExecutor:
             # released flag makes this a no-op after the except above).
             self._release_stream(pool, released)
 
-    def _serial(
-        self,
-        fn: Callable[[T], R],
-        items: list[T],
-        initializer: Callable[..., None] | None,
-        initargs: tuple,
-    ) -> Iterator[R]:
-        """The in-driver fallback, with the initializer scoped if possible.
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The persistent pool, rebuilt when missing or broken.
 
-        :func:`initializer_scope` enters the initializer's ``scope``
-        context manager (when it has one) around the map instead of
-        calling it bare, so whatever it installs into the driver's
-        globals is restored once the map completes — running it bare
-        would leave worker-targeted state (e.g. a shared grounding
-        database) permanently installed in the driver.
-        """
-        if initializer is None:
-            yield from map(fn, items)
-            return
-        with initializer_scope(initializer, initargs):
-            yield from map(fn, items)
-
-    def _same_initializer(
-        self, initializer: Callable[..., None], initargs: tuple
-    ) -> bool:
-        return (
-            initializer is self._pool_initializer
-            and len(initargs) == len(self._pool_initargs)
-            and all(a is b for a, b in zip(initargs, self._pool_initargs))
-            and _initarg_tokens(initargs) == self._pool_init_tokens
-        )
-
-    def _ensure_pool(
-        self, initializer: Callable[..., None] | None, initargs: tuple
-    ) -> ProcessPoolExecutor:
-        """The persistent pool, recycled when unusable for this map.
-
-        A map without an initializer runs on whatever pool exists (worker
-        state is irrelevant to it); a map *with* one gets a pool whose
-        workers ran exactly that initializer — reusing the warm pool when
-        it already did, rebuilding otherwise.  "The same initializer"
-        means same callable and argument identities AND unchanged
-        argument :func:`state tokens <_initarg_tokens>` — a payload
-        mutated in place (a re-grounded program's database after new
-        ``observe``/``add_target`` calls) changes its token, so warm
-        workers holding a stale pickled snapshot are never reused.  A
-        pool whose worker died (``BrokenProcessPool``) is recycled too:
+        A pool whose worker died (``BrokenProcessPool``) is recycled:
         the fresh-pool-per-map design self-healed from crashed workers,
         and a shared registry instance must not stay poisoned forever.
         A displaced pool that another thread's stream is still consuming
@@ -543,30 +373,14 @@ class ProcessExecutor:
         stale: ProcessPoolExecutor | None = None
         with self._lock:
             pool = self._pool
-            broken = pool is not None and getattr(pool, "_broken", False)
-            if (
-                pool is not None
-                and not broken
-                and (
-                    initializer is None
-                    or self._same_initializer(initializer, initargs)
-                )
-            ):
+            if pool is not None and not getattr(pool, "_broken", False):
                 self._active[pool] = self._active.get(pool, 0) + 1
                 return pool
             stale, self._pool = pool, None
             if stale is not None and self._active.get(stale, 0) > 0:
                 stale = None  # live streams retire it on exit
-            _register_exit_close()
-            pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=initializer,
-                initargs=initargs,
-            )
+            pool = ProcessPoolExecutor(max_workers=self.max_workers)
             self._pool = pool
-            self._pool_initializer = initializer
-            self._pool_initargs = tuple(initargs)
-            self._pool_init_tokens = _initarg_tokens(initargs)
             self._active[pool] = 1
         if stale is not None:
             # Outside the lock: draining a displaced pool (its running
@@ -576,15 +390,9 @@ class ProcessExecutor:
         return pool
 
     def _stream_fresh(
-        self,
-        fn: Callable[[T], R],
-        chunks: list[list[T]],
-        initializer: Callable[..., None] | None,
-        initargs: tuple,
+        self, fn: Callable[[T], R], chunks: list[list[T]]
     ) -> Iterator[R]:
-        pool = ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=initializer, initargs=initargs
-        )
+        pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
             yield from self._windowed(fn, chunks, pool)
         finally:
@@ -626,10 +434,10 @@ class ProcessExecutor:
 
 #: Shared executors by worker count — ``resolve_executor`` hands these
 #: out so repeated "thread:N" / "process:N" resolutions (one per
-#: AdmmSolver, one per sweep cell...) reuse one pool instead of leaking
+#: engine, one per CLI command...) reuse one pool instead of leaking
 #: one each.  The process instances are persistent-mode: their worker
-#: pool survives across maps, which is what makes per-iteration
-#: process dispatch viable.
+#: pool survives across maps, so the waves of a warm-started grid pay
+#: the pool spawn once.
 _THREAD_EXECUTORS: dict[int, ThreadExecutor] = {}
 _PROCESS_EXECUTORS: dict[int, ProcessExecutor] = {}
 

@@ -32,18 +32,15 @@ instead of re-grounding (see ``docs/incremental.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Iterable, Iterator, Union
 
 from repro.datamodel.instance import Fact, Instance
 from repro.errors import SelectionError
-from repro.executors import MapExecutor, resolve_executor
 from repro.mappings.tgd import StTgd
 from repro.selection.metrics import (
     CandidateTables,
     IndexedTarget,
     SelectionProblem,
-    _evaluate_indexed,
     cover_and_error_tables,
     evaluate_candidate,
     merge_candidate_tables,
@@ -117,22 +114,18 @@ class MutableSelection:
         source: Instance,
         target: Instance,
         candidates: Iterable[StTgd],
-        executor: MapExecutor | str | None = None,
     ):
         self.source = source.copy()
         self.target = target.copy()
         self.candidates = list(candidates)
         if not all(isinstance(c, StTgd) for c in self.candidates):
             raise SelectionError("candidates must be StTgd objects")
-        self.executor = executor
-        resolved = resolve_executor(executor)
         # J indexed once per target revision: source edits reuse it.
         self._indexed = IndexedTarget.of(self.target)
-        evaluate = partial(_evaluate_indexed, self.source, self.target, self._indexed)
-        self._tables: list[CandidateTables] = list(
-            resolved.map(evaluate, list(enumerate(self.candidates)))
-        )
-        self._tables.sort(key=lambda t: t.index)
+        self._tables: list[CandidateTables] = [
+            evaluate_candidate(self.source, self.target, candidate, i, self._indexed)
+            for i, candidate in enumerate(self.candidates)
+        ]
         self.rechased_candidates = 0
         self.problem = self._merge(parent=None)
 
@@ -213,7 +206,6 @@ def mutation_chain(
     target: Instance,
     candidates: Iterable[StTgd],
     mutations: Iterable[Mutation],
-    executor: MapExecutor | str | None = None,
 ) -> Iterator[tuple[Mutation | None, SelectionProblem]]:
     """Replay *mutations* as a lineage-linked chain of selection problems.
 
@@ -222,7 +214,7 @@ def mutation_chain(
     the previous revision, so solving them in order through the
     collective grounding cache exercises the patch tier at every step.
     """
-    state = MutableSelection(source, target, candidates, executor=executor)
+    state = MutableSelection(source, target, candidates)
     yield None, state.problem
     for mutation in mutations:
         yield mutation, state.apply(mutation)

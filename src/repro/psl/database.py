@@ -9,9 +9,8 @@ Every mutation is recorded in a bounded **change journal** of typed
 :class:`DeltaEntry` rows, and :meth:`Database.state_token` identifies a
 snapshot as a ``(salt, version)`` pair — the salt is unique per database
 lineage, so tokens from *different* databases can never alias (two
-fresh databases both at version 3 used to compare equal, silently
-reusing pool workers holding the wrong snapshot).  :meth:`Database.
-delta_since` replays the journal into a net atom-level
+fresh databases both at version 3 would otherwise compare equal).
+:meth:`Database.delta_since` replays the journal into a net atom-level
 :class:`DatabaseDelta`, which is what incremental grounding
 (:mod:`repro.psl.delta`) uses to re-ground only the shards an edit
 touched.
@@ -35,8 +34,7 @@ JOURNAL_LIMIT = 65536
 
 #: Per-process counter feeding database salts.  Combined with the pid so
 #: two databases created in different processes differ too; a *pickled
-#: copy* keeps its salt (snapshots of one lineage share tokens, which is
-#: exactly what executor initializer reuse compares).
+#: copy* keeps its salt (snapshots of one lineage share tokens).
 _SALT_COUNTER = itertools.count()
 
 
@@ -194,8 +192,8 @@ class Database:
         """Record an observed soft truth value in [0, 1].
 
         A value-identical re-observe is a full no-op: the version (and
-        therefore :meth:`state_token`) is unchanged, so caches and
-        persistent pool workers keyed on the token stay valid.
+        therefore :meth:`state_token`) is unchanged, so anything keyed
+        on the token stays valid.
         """
         if not 0.0 <= truth <= 1.0:
             raise GroundingError(f"truth value {truth} for {atom} outside [0, 1]")
@@ -248,15 +246,12 @@ class Database:
     def state_token(self) -> object:
         """A ``(salt, version)`` pair identifying this exact snapshot.
 
-        The executor initializer-reuse hook (see
-        :meth:`repro.executors.ProcessExecutor.map`): a persistent pool
-        whose workers hold a pickled snapshot of this database may be
-        reused only while the token matches — an in-place
-        ``observe``/``add_target`` after a ground would otherwise leave
-        the workers grounding against a stale copy.  The salt is unique
+        Every ``observe``/``add_target``/retraction moves the version, so
+        an unchanged token means unchanged contents.  The salt is unique
         per database lineage (pickled snapshots keep it), so tokens of
         *distinct* databases never compare equal; feed the token back to
-        :meth:`delta_since` for the atom-level diff.
+        :meth:`delta_since` for the atom-level diff (the journal that
+        :class:`repro.psl.delta.IncrementalProgramGrounding` patches by).
         """
         return (self._salt, self._version)
 

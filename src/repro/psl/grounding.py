@@ -111,9 +111,9 @@ def ground_rule(rule: Rule, database: Database) -> list[GroundRule]:
     Returned in canonical (injectively key-sorted) order: enumeration
     walks hash-ordered atom sets, so without the sort the grounding
     order — and with it the compiled potential order — would vary with
-    the process's hash seed.  Sharded grounding runs rule shards in
-    worker processes and merges them against the serial order, so
-    grounding order must be reproducible anywhere.
+    the process's hash seed.  Sharded grounding merges rule shards
+    against the dict-based order, and grid cells ground in different
+    processes, so grounding order must be reproducible anywhere.
     """
     groundings: list[GroundRule] = []
     for sub in substitutions(rule, database):

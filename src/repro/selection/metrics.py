@@ -14,16 +14,15 @@ evaluates the homomorphism-based semantics of
 collective/PSL) consume the resulting :class:`SelectionProblem`, so they
 optimize exactly the same objective.
 
-The per-candidate work (chase + cover table + error set) is independent
-across candidates, so it runs through a pluggable
-:class:`~repro.executors.MapExecutor`: serially by default, or on a
-process pool for multi-core builds.  Each work unit chases with a private
-null factory counting from zero; the merge then shifts every candidate's
-null labels by the number of nulls its predecessors consumed.  That
-reproduces, byte for byte, the labels a single shared
-:class:`~repro.datamodel.values.NullFactory` threaded through a serial
-loop would have handed out — candidates still never share a null, and the
-result is independent of the executor used.
+The per-candidate work (chase + cover table + error set) runs in the
+calling process, one candidate at a time.  Each candidate chases with a
+private null factory counting from zero; the merge then shifts every
+candidate's null labels by the number of nulls its predecessors
+consumed.  That reproduces, byte for byte, the labels a single shared
+:class:`~repro.datamodel.values.NullFactory` threaded through the loop
+would have handed out — candidates never share a null, and an edit that
+re-chases one candidate (:mod:`repro.ibench.mutations`) merges into
+exactly what a from-scratch build would produce.
 """
 
 from __future__ import annotations
@@ -32,11 +31,9 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.chase.engine import chase
-from repro.executors import MapExecutor, resolve_executor
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, NullFactory
 from repro.errors import SelectionError
@@ -153,7 +150,7 @@ def problem_fingerprint(problem: SelectionProblem) -> bytes:
     Two problems fingerprint equally iff their j_facts, cover tables,
     error sets, sizes, and chase instances agree — independent of dict/set
     iteration order or the process that produced them.  Used to verify
-    that serial and parallel builds are byte-identical.
+    that incremental edits and from-scratch builds are byte-identical.
     """
     import json
 
@@ -252,8 +249,8 @@ def evaluate_candidate(
 ) -> CandidateTables:
     """The per-candidate work unit: chase, cover table, error set.
 
-    Pure and picklable — safe to ship to a worker process.  Null labels in
-    the result are candidate-local (they start at 0).  *indexed* is
+    Pure.  Null labels in the result are candidate-local (they start at
+    0).  *indexed* is
     *target* prepared by :meth:`IndexedTarget.of`, when the caller shares
     one across a whole build.
     """
@@ -269,22 +266,6 @@ def evaluate_candidate(
         error_facts=errors,
         nulls_used=factory.used,
     )
-
-
-def _evaluate_indexed(
-    source: Instance,
-    target: Instance,
-    indexed: IndexedTarget,
-    work: tuple[int, StTgd],
-) -> CandidateTables:
-    """Adapter for executor ``map``: bind the shared inputs via ``partial``.
-
-    Keeping the shared instances and J's index in the function (pickled
-    once per dispatch chunk) instead of in every work item avoids
-    serializing them once per candidate on the process-pool path.
-    """
-    index, candidate = work
-    return evaluate_candidate(source, target, candidate, index, indexed)
 
 
 def merge_candidate_tables(
@@ -331,24 +312,18 @@ def build_selection_problem(
     source: Instance,
     target: Instance,
     candidates: Sequence[StTgd],
-    executor: MapExecutor | str | None = None,
 ) -> SelectionProblem:
-    """Chase each candidate and materialize covers/creates/size tables.
-
-    *executor* selects where the per-candidate work runs: ``None`` /
-    ``"serial"`` for the calling process, ``"process[:N]"`` (or any
-    :class:`~repro.executors.MapExecutor`) for a worker pool.  The
-    resulting problem is identical whichever executor is used.
-    """
+    """Chase each candidate and materialize covers/creates/size tables."""
     if not all(isinstance(c, StTgd) for c in candidates):
         raise SelectionError("candidates must be StTgd objects")
-    executor = resolve_executor(executor)
     indexed = IndexedTarget.of(target)
-    evaluate = partial(_evaluate_indexed, source, target, indexed)
     return merge_candidate_tables(
         source,
         target,
         candidates,
-        executor.map(evaluate, list(enumerate(candidates))),
+        (
+            evaluate_candidate(source, target, candidate, index, indexed)
+            for index, candidate in enumerate(candidates)
+        ),
         j_facts=list(indexed.order),
     )

@@ -122,20 +122,6 @@ class TestSummaries:
         assert summary.return_params == frozenset({0})
         assert summary.returns.is_bottom()
 
-    def test_transitive_release_param(self):
-        _, engine = engine_of(
-            {
-                "src/repro/m.py": (
-                    "def _teardown(seg):\n"
-                    "    seg.close()\n"
-                    "def outer(seg):\n"
-                    "    _teardown(seg)\n"
-                )
-            }
-        )
-        summary = engine.summary(FunctionId("repro.m", "outer"))
-        assert summary.released_params == frozenset({0})
-
     def test_unpicklable_flows_through_chain(self):
         _, engine = engine_of(
             {

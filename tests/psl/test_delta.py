@@ -4,7 +4,7 @@ The contract of :class:`repro.psl.delta.IncrementalProgramGrounding`:
 after ANY journal-replayable edit sequence, the patched MRF has the same
 :func:`structure_fingerprint` / :func:`mrf_fingerprint` — and therefore
 the same ADMM solve trajectory — as a from-scratch ground of the edited
-program, under every executor and shard size.  Only shards whose rules
+program, at every shard size.  Only shards whose rules
 read a touched predicate are re-ground; everything else splices.
 """
 
@@ -18,7 +18,6 @@ from repro.psl.rule import lit
 from repro.psl.sharding import mrf_fingerprint, structure_fingerprint
 
 SHARD_SIZES = (1, 2, 7, None)
-EXECUTORS = ("serial", "thread:2", "process:2")
 
 
 def _program() -> PslProgram:
@@ -63,11 +62,10 @@ def _assert_same_solve(patched, fresh) -> None:
 
 
 @pytest.mark.parametrize("shard_size", SHARD_SIZES)
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_observation_edit_matches_scratch(executor, shard_size):
+def test_observation_edit_matches_scratch(shard_size):
     program = _program()
     likes = program.predicate("likes", 2)
-    inc = IncrementalProgramGrounding(program, executor=executor, shard_size=shard_size)
+    inc = IncrementalProgramGrounding(program, shard_size=shard_size)
     assert inc.full_grounds == 1
 
     program.observe(likes("b", "r"), 0.7)

@@ -2,9 +2,9 @@
 
 The solver runs one flat local step, but the MRF it solves is still
 built in partitions: grounding splits the terms into shards of a chosen
-size and maps them over a serial, thread or process executor before the
-merge.  The contract under test: for ANY shard size and ANY grounding
-executor, solving the merged MRF reproduces — bit for bit — the run of
+size and builds them one after another before the merge.  The contract
+under test: for ANY shard size, solving the merged MRF reproduces — bit
+for bit — the run of
 ``_ReferenceFlatSolver`` (see ``test_admm_reference.py``) on the MRF
 built in one piece, cold, truncated, reweighted and store-attached.
 """
@@ -95,17 +95,12 @@ def test_partitioned_matches_flat_reference_on_random_mrfs(seed, shard_size):
 
 
 @pytest.mark.parametrize("shard_size", [1, 7, 64, None])
-@pytest.mark.parametrize("executor", [None, "thread:2"])
-def test_partitioned_matches_flat_reference_on_collective_problem(
-    shard_size, executor
-):
+def test_partitioned_matches_flat_reference_on_collective_problem(shard_size):
     problem = _collective_problem()
     settings = CollectiveSettings()
     flat = build_program(problem, settings)[0].ground()
     reference = _ReferenceFlatSolver(flat).solve()
-    mrf, _, stats = ground_collective(
-        problem, settings, executor=executor, shard_size=shard_size
-    )
+    mrf, _, stats = ground_collective(problem, settings, shard_size=shard_size)
     assert mrf_fingerprint(mrf) == mrf_fingerprint(flat)
     if shard_size in (1, 7):
         # Small shards really split every kind of term.
@@ -115,31 +110,27 @@ def test_partitioned_matches_flat_reference_on_collective_problem(
 
 @pytest.mark.parametrize("shard_size", [32, None])
 def test_process_executor_blocks_match_reference(shard_size):
-    # Term blocks ground in worker processes and merged in the driver; a
-    # truncated run (the loop exits at the iteration cap between
-    # convergence checks) must still be bit-identical.
+    # A truncated run on a sharded ground (the loop exits at the
+    # iteration cap between convergence checks) must still be
+    # bit-identical.
     problem = _collective_problem()
     settings = AdmmSettings(max_iterations=4, check_every=3)
     flat = build_program(problem, CollectiveSettings())[0].ground()
     reference = _ReferenceFlatSolver(flat, settings).solve()
-    mrf, _, _ = ground_collective(
-        problem, executor="process:2", shard_size=shard_size
-    )
+    mrf, _, _ = ground_collective(problem, shard_size=shard_size)
     _assert_identical_run(AdmmSolver(mrf, settings).solve(), reference)
 
 
 _WEIGHT_TRIPLES = (("2", "1", "1/2"), ("1/3", "5", "1"), ("1", "1", "1"))
 
 
-@pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
-def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
-    # Ground once on *executor* in small shards, then reweight in place
-    # and re-solve: each run must equal the frozen solver's run on a
-    # fresh, one-piece grounding at the new weights.
+@pytest.mark.parametrize("shard_size", [None, 5])
+def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(shard_size):
+    # Ground once in shards of *shard_size*, then reweight in place and
+    # re-solve: each run must equal the frozen solver's run on a fresh,
+    # one-piece grounding at the new weights.
     problem = _collective_problem()
-    grounded = GroundedCollective(
-        problem, CollectiveSettings(), executor=executor, shard_size=5
-    )
+    grounded = GroundedCollective(problem, CollectiveSettings(), shard_size=shard_size)
     settings = AdmmSettings(max_iterations=40, check_every=5)
     solver = AdmmSolver(grounded.mrf, settings)
     solver.solve()  # prime the compiled arrays
@@ -152,16 +143,16 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
         _assert_identical_run(resolved, _ReferenceFlatSolver(fresh, settings).solve())
 
 
-@pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
+@pytest.mark.parametrize("shard_size", [None, 5])
 def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(
-    executor, tmp_path
+    shard_size, tmp_path
 ):
-    # A grounding spilled from a partitioned ground on *executor*,
+    # A grounding spilled from a ground in shards of *shard_size*,
     # attached (mmap) and reweighted, must solve exactly like the frozen
     # solver on a fresh, one-piece grounding at the new weights.
     problem = _collective_problem()
     base = CollectiveSettings()
-    writer = GroundedCollective(problem, base, executor=executor, shard_size=5)
+    writer = GroundedCollective(problem, base, shard_size=shard_size)
     store = GroundingStore(tmp_path)
     key = collective_structure_key(problem, base)
     assert store.put(key, writer.mrf, extra=writer.store_extra())
@@ -193,9 +184,7 @@ def test_solve_collective_threads_solver_knobs():
     plain = solve_collective(problem, CollectiveSettings(reuse_grounding=False))
     tuned = solve_collective(
         problem,
-        CollectiveSettings(
-            reuse_grounding=False, ground_executor="thread:2", ground_shard_size=4
-        ),
+        CollectiveSettings(reuse_grounding=False, ground_shard_size=4),
     )
     assert tuned.selected == plain.selected
     assert tuned.objective == plain.objective

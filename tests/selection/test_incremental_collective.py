@@ -3,8 +3,7 @@
 Contract under test: for a lineage-linked edit chain,
 :func:`patch_collective` / the cache's patch tier produce an artifact
 whose MRF fingerprints — and whole ADMM solve trajectory — equal a
-from-scratch ground of the edited problem, under every executor and
-shard size.  Plus the tier ordering (patch > disk attach > fresh), the
+from-scratch ground of the edited problem, at every shard size.  Plus the tier ordering (patch > disk attach > fresh), the
 ``incremental=False`` opt-out, and the decline paths.
 """
 
@@ -31,7 +30,6 @@ from repro.selection.collective import (
 from repro.selection.objective import ObjectiveWeights
 
 SHARD_SIZES = (1, 2, 7, None)
-EXECUTORS = ("serial", "process:2")
 
 
 def _chain(extra_projects: int = 5) -> MutableSelection:
@@ -57,15 +55,12 @@ def _assert_same_artifact(patched: GroundedCollective, problem, settings) -> Non
 
 
 @pytest.mark.parametrize("shard_size", SHARD_SIZES)
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_patch_matches_scratch(executor, shard_size):
+def test_patch_matches_scratch(shard_size):
     chain = _chain()
     settings = CollectiveSettings()
     parent = GroundedCollective(chain.problem, settings, shard_size=shard_size)
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    patched = patch_collective(
-        parent, child, settings, executor=executor, shard_size=shard_size
-    )
+    patched = patch_collective(parent, child, settings, shard_size=shard_size)
     assert patched is not None
     assert patched.splice_stats.reused_shards > 0
     _assert_same_artifact(patched, child, settings)

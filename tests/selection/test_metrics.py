@@ -73,20 +73,7 @@ def test_j_facts_are_sorted_and_complete(problem):
 
 
 class TestParallelBuild:
-    """Serial and process-pool builds must be byte-identical."""
-
-    def test_process_executor_equivalence(self):
-        from repro.selection.metrics import problem_fingerprint
-
-        ex = paper_example()
-        serial = build_selection_problem(ex.source, ex.target, ex.candidates)
-        parallel = build_selection_problem(
-            ex.source, ex.target, ex.candidates, executor="process:2"
-        )
-        assert problem_fingerprint(serial) == problem_fingerprint(parallel)
-        assert serial.covers == parallel.covers
-        assert serial.error_facts == parallel.error_facts
-        assert serial.chase_by_candidate == parallel.chase_by_candidate
+    """Per-candidate tables merge into one deterministic problem."""
 
     def test_generated_scenario_equivalence(self):
         from repro.ibench.config import ScenarioConfig
@@ -96,40 +83,35 @@ class TestParallelBuild:
         scenario = generate_scenario(
             ScenarioConfig(num_primitives=3, rows_per_relation=6, pi_corresp=50, seed=11)
         )
-        serial = scenario.selection_problem()
-        parallel = scenario.selection_problem(executor="process:2")
-        assert problem_fingerprint(serial) == problem_fingerprint(parallel)
-
-    def test_custom_map_executor_object(self):
-        class ReversingExecutor:
-            """Returns results out of order to exercise the merge realignment."""
-
-            def map(self, fn, items):
-                return [fn(item) for item in reversed(list(items))]
-
-        from repro.selection.metrics import problem_fingerprint
-
-        ex = paper_example()
-        serial = build_selection_problem(ex.source, ex.target, ex.candidates)
-        custom = build_selection_problem(
-            ex.source, ex.target, ex.candidates, executor=ReversingExecutor()
+        built = scenario.selection_problem()
+        rebuilt = build_selection_problem(
+            scenario.source.copy(), scenario.target.copy(), list(scenario.candidates)
         )
-        assert problem_fingerprint(serial) == problem_fingerprint(custom)
+        assert problem_fingerprint(built) == problem_fingerprint(rebuilt)
 
-    def test_bad_executor_spec_rejected(self):
-        from repro.errors import ReproError
+    def test_merge_realigns_out_of_order_tables(self):
+        from repro.selection.metrics import (
+            evaluate_candidate,
+            merge_candidate_tables,
+            problem_fingerprint,
+        )
 
         ex = paper_example()
-        with pytest.raises(ReproError):
-            build_selection_problem(
-                ex.source, ex.target, ex.candidates, executor="threads"
-            )
+        built = build_selection_problem(ex.source, ex.target, ex.candidates)
+        tables = [
+            evaluate_candidate(ex.source, ex.target, candidate, index)
+            for index, candidate in enumerate(ex.candidates)
+        ]
+        merged = merge_candidate_tables(
+            ex.source, ex.target, ex.candidates, reversed(tables)
+        )
+        assert problem_fingerprint(merged) == problem_fingerprint(built)
 
     def test_null_labels_stay_disjoint_across_candidates(self):
         source = Instance([fact("a", 1), fact("a", 2)])
         target = Instance([fact("u", 9, 9)])
         tgds = parse_tgds("a(X) -> u(X, Y)\na(X) -> u(X, Z)")
-        problem = build_selection_problem(source, target, tgds, executor="process:2")
+        problem = build_selection_problem(source, target, tgds)
         nulls_0 = {n for f in problem.chase_by_candidate[0] for n in f.nulls}
         nulls_1 = {n for f in problem.chase_by_candidate[1] for n in f.nulls}
         assert nulls_0 and nulls_1

@@ -81,8 +81,6 @@ def test_select_solver_knobs(tmp_path, capsys):
                 str(path),
                 "--method",
                 "collective",
-                "--ground-executor",
-                "thread:2",
                 "--ground-shard-size",
                 "8",
             ]
@@ -91,10 +89,12 @@ def test_select_solver_knobs(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "collective" in out
-    # The ADMM solve is serial and unpartitioned: no solve-side knobs.
-    for knob in ("--solve-executor", "--solve-block-size"):
-        with pytest.raises(SystemExit):
+    # One problem is built, ground and solved in one process: no
+    # executor or solve-side knobs.
+    for knob in ("--executor", "--ground-executor", "--solve-executor", "--solve-block-size"):
+        with pytest.raises(SystemExit) as exc:
             main(["select", str(path), knob, "2"])
+        assert exc.value.code == 2
 
 
 def test_sweep_solver_knobs(capsys):
@@ -110,8 +110,6 @@ def test_sweep_solver_knobs(capsys):
                 "1",
                 "--levels",
                 "0",
-                "--ground-executor",
-                "serial",
                 "--ground-shard-size",
                 "4",
             ]
@@ -120,6 +118,21 @@ def test_sweep_solver_knobs(capsys):
     )
     out = capsys.readouterr().out
     assert "collective" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ground-executor", "serial"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["select", "sweep", "chain"])
+def test_nonpositive_ground_shard_size_rejected(tmp_path, capsys, command, value):
+    args = [command]
+    if command == "select":
+        args.append(str(tmp_path / "unused.json"))  # parsing fails first
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--ground-shard-size", value])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_generate_respects_kind_restriction(tmp_path, capsys):

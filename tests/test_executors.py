@@ -1,20 +1,15 @@
-"""Tests for the executor abstraction: spec resolution, streaming, init.
+"""Tests for the executor abstraction: spec resolution and streaming.
 
 Covers the ``resolve_executor`` edge cases (bad worker counts, object
 passthrough), the bounded-window streaming behaviour of
 ``ProcessExecutor.map`` and its in-flight cleanup on errors/abandonment,
-persistent-pool lifecycle (reuse, initializer recycling, close), scoped
-serial-fallback initializers, and the thread backend's pickling
-contract.
+persistent-pool lifecycle (reuse, broken-pool recycling, close), and
+the thread backend's pickling contract.
 """
 
 import os
 import pickle
-import subprocess
-import sys
-import textwrap
 import threading
-from contextlib import contextmanager
 
 import pytest
 
@@ -25,58 +20,15 @@ from repro.executors import (
     ThreadExecutor,
     resolve_executor,
 )
-from tests._subprocess import child_env
 
 # Module-level so process workers (fork or spawn-with-import) can
 # unpickle them by reference.
-_INIT_VALUE = 0
-
-
-def _install_value(value):
-    global _INIT_VALUE
-    _INIT_VALUE = value
-
-
-def _read_value(_):
-    return _INIT_VALUE
-
-
 def _square(x):
     return x * x
 
 
 def _pid(_):
     return os.getpid()
-
-
-def _pid_and_value(_):
-    return (os.getpid(), _INIT_VALUE)
-
-
-_SCOPED_VALUE = 0
-
-
-def _install_scoped(value):
-    global _SCOPED_VALUE
-    _SCOPED_VALUE = value
-
-
-@contextmanager
-def _scoped(value):
-    global _SCOPED_VALUE
-    previous = _SCOPED_VALUE
-    _SCOPED_VALUE = value
-    try:
-        yield
-    finally:
-        _SCOPED_VALUE = previous
-
-
-_install_scoped.scope = _scoped
-
-
-def _read_scoped(_):
-    return _SCOPED_VALUE
 
 
 # -- resolve_executor edge cases ---------------------------------------------
@@ -180,27 +132,6 @@ def test_process_map_serial_fallbacks():
     assert list(one_worker) == [4, 9]
 
 
-def test_process_map_initializer_reaches_workers():
-    executor = ProcessExecutor(2)
-    results = list(
-        executor.map(
-            _read_value, list(range(8)), initializer=_install_value, initargs=(7,)
-        )
-    )
-    assert results == [7] * 8
-
-
-def test_process_map_initializer_on_serial_fallback():
-    _install_value(0)
-    executor = ProcessExecutor(1)
-    results = list(
-        executor.map(
-            _read_value, [1, 2], initializer=_install_value, initargs=(5,)
-        )
-    )
-    assert results == [5, 5]
-
-
 def test_process_map_propagates_worker_exceptions():
     def boom(x):  # local: only reachable on the serial fallback
         raise ValueError(x)
@@ -225,24 +156,6 @@ def test_thread_map_preserves_order_and_reuses_pool():
     assert list(executor.map(_square, [4])) == [16]  # serial shortcut
     assert list(executor.map(_square, [1, 2, 3])) == [1, 4, 9]
     assert executor._pool is first_pool  # the pool persists across maps
-
-
-def _nested_map(executor):
-    def inner(x):
-        # A map issued from inside one of the pool's own worker threads:
-        # must run inline, not queue behind the jobs occupying the pool.
-        return sum(executor.map(_square, [x, x + 1]))
-
-    return inner
-
-
-def test_thread_executor_nested_map_does_not_deadlock():
-    # Shared "thread:N" instances serve both an engine grid and the
-    # sharded grounds inside its cells; nested maps used to queue behind
-    # their own parents and hang forever.
-    executor = ThreadExecutor(2)
-    results = list(executor.map(_nested_map(executor), [0, 1, 2, 3]))
-    assert results == [0 + 1, 1 + 4, 4 + 9, 9 + 16]
 
 
 def test_thread_executor_pickles_without_pool():
@@ -284,80 +197,6 @@ def test_persistent_pool_reuses_workers_across_maps():
         assert 1 <= len(pids) <= 2
 
 
-def test_persistent_pool_initializer_once_then_recycle_on_change():
-    with ProcessExecutor(2, persistent=True) as executor:
-        seen: set[int] = set()
-        for _ in range(2):
-            results = list(
-                executor.map(
-                    _pid_and_value,
-                    list(range(8)),
-                    initializer=_install_value,
-                    initargs=(7,),
-                )
-            )
-            assert {value for _, value in results} == {7}
-            seen.update(pid for pid, _ in results)
-        # An initializer-less map rides the same warm pool: the worker
-        # state installed once per worker is still there.
-        bare = list(executor.map(_pid_and_value, list(range(8))))
-        assert {value for _, value in bare} == {7}
-        seen.update(pid for pid, _ in bare)
-        assert len(seen) <= 2
-        # A *different* payload must recycle the pool — reusing workers
-        # initialized for another program would silently compute against
-        # stale state.
-        recycled = list(
-            executor.map(
-                _pid_and_value,
-                list(range(8)),
-                initializer=_install_value,
-                initargs=(9,),
-            )
-        )
-        assert {value for _, value in recycled} == {9}
-        assert {pid for pid, _ in recycled}.isdisjoint(seen)
-
-
-class _TokenPayload:
-    """A mutable initializer payload that tracks its own state version."""
-
-    def __init__(self):
-        self.value = 0
-
-    def state_token(self):
-        return self.value
-
-
-def _install_payload(payload):
-    _install_value(payload.value)
-
-
-def test_persistent_pool_recycles_when_initarg_mutates_in_place():
-    # Identity comparison alone cannot see in-place mutation: workers
-    # hold a pickled snapshot of the payload, so reusing the warm pool
-    # after the payload changed would compute against stale state (the
-    # re-ground-after-observe() bug).  state_token() makes the mutation
-    # visible and forces a recycle.
-    payload = _TokenPayload()
-    with ProcessExecutor(2, persistent=True) as executor:
-        first = list(
-            executor.map(
-                _read_value, list(range(8)), initializer=_install_payload,
-                initargs=(payload,),
-            )
-        )
-        assert first == [0] * 8
-        payload.value = 5  # same object, new contents
-        second = list(
-            executor.map(
-                _read_value, list(range(8)), initializer=_install_payload,
-                initargs=(payload,),
-            )
-        )
-        assert second == [5] * 8  # fresh workers saw the new snapshot
-
-
 def test_persistent_pool_close_is_idempotent_and_reusable():
     executor = ProcessExecutor(2, persistent=True)
     first = set(executor.map(_pid, list(range(8))))
@@ -384,18 +223,6 @@ def test_abandoned_unstarted_stream_releases_its_slot_on_gc():
         assert executor._active == {}
 
 
-def test_force_close_shuts_down_despite_registered_streams():
-    # The process-exit hook's path: in an exiting pool worker no thread
-    # will ever consume a registered stream again, so close(force=True)
-    # must not defer (a graceful close would, re-opening the nested-pool
-    # exit deadlock for an abandoned unstarted map).
-    executor = ProcessExecutor(2, persistent=True)
-    stream = executor.map(_square, list(range(8)))
-    executor.close(force=True)
-    assert executor._pool is None
-    del stream  # zombie stream's later release is harmless (idempotent)
-
-
 def test_persistent_pool_survives_worker_exception():
     with ProcessExecutor(2, persistent=True) as executor:
         before = set(executor.map(_pid, list(range(8))))
@@ -420,60 +247,20 @@ def test_persistent_pool_recovers_from_dead_worker():
         assert set(executor.map(_pid, list(range(8))))  # recycled and healthy
 
 
-def test_initializer_recycle_defers_shutdown_under_live_stream():
-    # An engine grid on threads can hold two concurrent grounds on the
-    # one shared process executor; the second ground's different
-    # initializer recycles the pool, which must not be shut down under
-    # the first ground's still-streaming map.
+def test_close_defers_shutdown_under_live_stream():
+    # A grid thread can close the shared executor while another thread
+    # still streams from it: the pool must not be shut down under that
+    # stream, which drains on the old pool and retires it on exit.
     with ProcessExecutor(2, persistent=True) as executor:
-        first = executor.map(
-            _read_value, list(range(12)), initializer=_install_value, initargs=(7,)
-        )
-        assert next(first) == 7  # stream live on the first pool
-        second = list(
-            executor.map(
-                _read_value, list(range(12)), initializer=_install_value, initargs=(9,)
-            )
-        )
-        assert second == [9] * 12
-        assert list(first) == [7] * 11  # old stream drains on the old pool
-        assert executor._active == {}  # ...which was retired on exit
-
-
-def test_nested_persistent_pools_exit_cleanly():
-    # Regression: a pool worker that resolves "process:N" for its own
-    # nested maps exits through os._exit without threading._shutdown, so
-    # nothing told its inner pool's processes to stop — the worker then
-    # joined them forever and the driver hung on the worker.  Live
-    # persistent pools must be closed by a per-process multiprocessing
-    # finalizer (registered lazily: the bootstrap of a multiprocessing
-    # child clears any registry inherited at fork).
-    script = textwrap.dedent(
-        """
-        from repro.executors import ProcessExecutor, resolve_executor
-
-        def _sq(y):
-            return y * y
-
-        def nested(x):
-            inner = resolve_executor("process:2")
-            return sum(inner.map(_sq, [x, x + 1]))
-
-        outer = ProcessExecutor(2, persistent=True)
-        assert list(outer.map(nested, [0, 1, 2, 3])) == [1, 5, 13, 25]
-        outer.close()
-        print("clean-exit")
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=child_env(),
-        timeout=120,  # the regression is an exit-time deadlock
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "clean-exit" in proc.stdout
+        first = executor.map(_square, list(range(12)))
+        assert next(first) == 0  # stream live on the first pool
+        old_pool = executor._pool
+        executor.close()
+        second = list(executor.map(_square, list(range(12))))
+        assert second == [i * i for i in range(12)]
+        assert executor._pool is not old_pool  # close() displaced it
+        assert list(first) == [i * i for i in range(1, 12)]
+        assert old_pool not in executor._active  # ...retired on exit
 
 
 def test_persistent_process_executor_pickles_config_only():
@@ -546,28 +333,3 @@ def test_process_stream_early_abandon_shuts_down_cleanly():
     assert next(gen) == 0
     gen.close()  # must cancel the window and shut the pool down, not hang
     assert list(executor.map(_square, [3])) == [9]
-
-
-# -- scoped serial-fallback initializers --------------------------------------
-
-
-@pytest.mark.parametrize("persistent", [False, True])
-def test_serial_fallback_scopes_initializer_with_scope_hook(persistent):
-    executor = ProcessExecutor(1, persistent=persistent)
-    gen = executor.map(
-        _read_scoped, [1, 2], initializer=_install_scoped, initargs=(5,)
-    )
-    assert _SCOPED_VALUE == 0  # nothing installed before consumption
-    assert list(gen) == [5, 5]
-    assert _SCOPED_VALUE == 0  # ...and the previous value is restored
-
-
-def test_serial_fallback_without_scope_hook_runs_initializer_bare():
-    _install_value(0)
-    assert list(
-        ProcessExecutor(1).map(
-            _read_value, [1, 2], initializer=_install_value, initargs=(6,)
-        )
-    ) == [6, 6]
-    assert _INIT_VALUE == 6  # unscoped initializers keep the old contract
-    _install_value(0)

@@ -31,14 +31,15 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
             }
         )
     )
-    (tmp_path / "parallel_engine_build.json").write_text(
+    (tmp_path / "sharded_grounding.json").write_text(
         json.dumps(
             {
                 "host_cpus": 4,
-                "workers": 2,
-                "serial_seconds": 0.016,
-                "parallel_seconds": 0.002,
-                "speedup": 8.0,
+                "num_shards": 12,
+                "total_terms": 4000,
+                "monolithic_seconds": 0.016,
+                "sharded_seconds": 0.002,
+                "speedup_vs_monolithic": 8.0,
             }
         )
     )
@@ -78,21 +79,20 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
 
 def test_malformed_artifact_skipped_not_fatal(tmp_path):
     (tmp_path / "reweight.json").write_text("{not json")
-    (tmp_path / "parallel_engine_build.json").write_text(
+    (tmp_path / "sharded_grounding.json").write_text(
         json.dumps(
             {
                 "host_cpus": 2,
-                "workers": 2,
-                "serial_seconds": 2.0,
-                "parallel_seconds": 1.0,
-                "speedup": 2.0,
+                "monolithic_seconds": 2.0,
+                "sharded_seconds": 1.0,
+                "speedup_vs_monolithic": 2.0,
             }
         )
     )
     result = _run("--results-dir", str(tmp_path))
     assert result.returncode == 0
     assert "skipping" in result.stderr
-    assert "parallel problem build" in result.stdout
+    assert "sharded grounding" in result.stdout
 
 
 def test_no_artifacts_is_an_error(tmp_path):
