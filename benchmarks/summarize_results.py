@@ -6,7 +6,7 @@ machine-readable twin of its stdout table under ``benchmarks/results/``
 an artifact per run; this script folds whichever of the known artifacts
 are present into a single EXPERIMENTS-style speedup table
 (``results/SUMMARY.md``), so the recorded numbers read as one
-document instead of four JSON blobs — the "pull the recorded speedup
+document instead of separate JSON blobs — the "pull the recorded speedup
 numbers into EXPERIMENTS-style results" item of the ROADMAP.
 
 Usage::
@@ -37,14 +37,6 @@ def _fmt_seconds(value: float) -> str:
 
 def _fmt_speedup(value: float) -> str:
     return f"{value:.1f}×"
-
-
-def _fmt_bytes(value: float) -> str:
-    if value >= 1024 * 1024:
-        return f"{value / (1024 * 1024):.2f} MiB"
-    if value >= 1024:
-        return f"{value / 1024:.2f} KiB"
-    return f"{value:.0f} B"
 
 
 def _rows_sharded_grounding(data: dict) -> list[list[str]]:
@@ -81,62 +73,10 @@ def _rows_reweight(data: dict) -> list[list[str]]:
     ]
 
 
-def _rows_grounding_store(data: dict) -> list[list[str]]:
-    rows = []
-    for name, r in data.get("scenarios", {}).items():
-        rows.append(
-            [
-                f"grounding store cold start ({name})",
-                f"fresh ground vs store attach+reweight "
-                f"({r.get('num_potentials', '?')} potentials, entry "
-                f"{_fmt_bytes(r['entry_bytes'])}; warm in-process reweight "
-                f"{_fmt_seconds(r['warm_reweight_seconds'])} for context)",
-                _fmt_seconds(r["ground_seconds"]),
-                _fmt_seconds(r["attach_seconds"]),
-                _fmt_speedup(r["speedup"]),
-            ]
-        )
-    return rows
-
-
-def _rows_incremental(data: dict) -> list[list[str]]:
-    program = data["program_lane"]
-    rows = [
-        [
-            "delta grounding (program edit)",
-            f"full re-ground vs refresh after a 1-tuple edit "
-            f"({program.get('rules', '?')} rules, "
-            f"{program['reused_shards']}/{program['num_shards']} shards spliced)",
-            _fmt_seconds(program["full_ground_seconds"]),
-            _fmt_seconds(program["delta_refresh_seconds"]),
-            _fmt_speedup(program["speedup"]),
-        ]
-    ]
-    edits = data.get("collective_lane", {}).get("edits", [])
-    if edits:
-        worst_full = max(e["full_ground_seconds"] for e in edits)
-        worst_patch = max(e["patch_seconds"] for e in edits)
-        rows.append(
-            [
-                "delta grounding (collective chain)",
-                f"fresh ground vs patch tier per target-tuple edit "
-                f"({len(edits)} edits, "
-                f"{edits[0]['reused_shards']}/{edits[0]['num_shards']} shards "
-                f"spliced, median over the chain)",
-                _fmt_seconds(worst_full),
-                _fmt_seconds(worst_patch),
-                _fmt_speedup(data["collective_lane"]["median_speedup"]),
-            ]
-        )
-    return rows
-
-
 #: filename -> row extractor.  Order fixes the table's row order.
 KNOWN_ARTIFACTS = {
     "sharded_grounding.json": _rows_sharded_grounding,
     "reweight.json": _rows_reweight,
-    "grounding_store.json": _rows_grounding_store,
-    "incremental.json": _rows_incremental,
 }
 
 _HEADER = ["benchmark", "comparison", "baseline", "optimized", "speedup"]

@@ -197,16 +197,6 @@ class DeterminismChecker(Checker):
     orderings) silently differs across workers.  ``hash()`` of
     str/bytes is seed-dependent for the same reason.  Dict iteration is
     insertion-ordered in Python 3.7+ and is deliberately *not* flagged.
-
-    Directory listings (``iterdir``/``glob``/``os.listdir``/…) are the
-    filesystem cousin of the same bug: entries arrive in
-    filesystem-dependent order, which varies across hosts, mounts, and
-    file creation histories — the grounding store's spill writer/reader
-    paths must iterate in the fixed fingerprint order (a module
-    constant), never in whatever order the directory happens to return,
-    or content-addressing silently breaks.  Listings are exempt when
-    immediately wrapped in a canonical ordering (``sorted``) or an
-    order-insensitive reduction.
     """
 
     rule = "RPL002"
@@ -222,8 +212,6 @@ class DeterminismChecker(Checker):
     #: attribute named ``targets`` is a frozenset only on Database
     #: receivers (``plan.targets`` is an ordered tuple — not flagged).
     frozenset_attr_receivers = {"targets": ("database",)}
-    #: calls that yield filesystem-ordered directory entries.
-    listing_calls = frozenset({"iterdir", "glob", "rglob", "scandir", "listdir"})
 
     def check(self, module: ModuleInfo) -> list[Finding]:
         findings: list[Finding] = []
@@ -250,17 +238,6 @@ class DeterminismChecker(Checker):
     def _check_iter(self, module: ModuleInfo, node: ast.AST, iter_expr: ast.AST):
         if _sorted_wraps(node):
             return
-        listing = self._listing_reason(iter_expr)
-        if listing is not None:
-            yield self.finding(
-                module,
-                iter_expr,
-                f"iteration over {listing} follows filesystem order, which "
-                "varies across hosts and mounts; sort the listing — or "
-                "iterate a fixed-order manifest (content-addressed spill "
-                "entries must never depend on directory order)",
-            )
-            return
         reason = self._unordered_reason(module, node, iter_expr)
         if reason is None:
             return
@@ -271,13 +248,6 @@ class DeterminismChecker(Checker):
             "sort with an explicit key (or iterate an insertion-ordered "
             "view) before anything fingerprinted, merged, or tie-broken",
         )
-
-    def _listing_reason(self, iter_expr: ast.AST) -> str | None:
-        if isinstance(iter_expr, ast.Call):
-            callee = terminal_name(iter_expr.func)
-            if callee in self.listing_calls:
-                return f"the directory listing {callee}(...)"
-        return None
 
     def _unordered_reason(
         self, module: ModuleInfo, node: ast.AST, iter_expr: ast.AST

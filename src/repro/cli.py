@@ -8,13 +8,7 @@ Commands:
 * ``weight-sweep`` — objective-weight sweep on a fixed scenario (the
   ground-once/reweight-many path: one grounding per lane, every further
   cell reweights and re-solves);
-* ``chain``    — replay a tuple-edit mutation chain with incremental
-  (delta) grounding (docs/incremental.md): each revision patches the
-  previous one's compiled structure instead of re-grounding;
 * ``demo``     — the paper's running example with its appendix objective table;
-* ``store``    — inspect/maintain an on-disk grounding store
-  (docs/grounding-store.md): ``ls`` the entries, ``gc`` stale ones,
-  ``verify`` payload integrity and structure hashes;
 * ``lint``     — the repro-lint static-analysis pass (docs/lint.md): exits
   0 when clean against the baseline, 1 on findings, 2 on usage errors.
 """
@@ -80,19 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="entries per grounding shard (default: sharding module default)",
     )
-    select.add_argument(
-        "--grounding-store",
-        default=None,
-        help="disk grounding-store directory: attach a previously spilled "
-        "grounding of the same structure (mmap + reweight) instead of "
-        "re-grounding, and spill fresh grounds for future runs",
-    )
-    select.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable incremental (delta) grounding: always ground from "
-        "scratch instead of patching a cached parent revision's structure",
-    )
 
     sweep = sub.add_parser("sweep", help="quality-vs-noise sweep")
     sweep.add_argument(
@@ -119,14 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="persist generated scenarios/problems here (keyed by config hash) "
-        "so repeated sessions skip generation (also enables a sibling "
-        "groundings/ store unless --grounding-store overrides it)",
-    )
-    sweep.add_argument(
-        "--grounding-store",
-        default=None,
-        help="disk grounding-store directory shared across lanes, workers and "
-        "sessions (default: <cache-dir>/groundings when --cache-dir is set)",
+        "so repeated sessions skip generation and chasing",
     )
     sweep.add_argument(
         "--no-warm-start",
@@ -134,11 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solve every sweep cell cold instead of chaining ADMM warm starts "
         "(chaining runs parallel grids as per-seed waves, so with few seeds "
         "and many workers cold grids expose more parallelism)",
-    )
-    sweep.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable incremental (delta) grounding for collective cells",
     )
     sweep.add_argument(
         "--timing",
@@ -174,56 +143,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solve every cell cold instead of chaining ADMM warm starts",
     )
     weight_sweep.add_argument(
-        "--grounding-store",
-        default=None,
-        help="disk grounding-store directory: the sweep's single structure is "
-        "attached (mmap + reweight) instead of ground when already spilled",
-    )
-    weight_sweep.add_argument(
         "--timing",
         action="store_true",
         help="also print the per-cell timing breakdown",
     )
 
-    chain = sub.add_parser(
-        "chain",
-        help="replay a mutation chain with incremental (delta) grounding: "
-        "generate a scenario, edit a few tuples per step, solve every "
-        "revision, report how much grounding each step reused",
-    )
-    chain.add_argument("--primitives", type=int, default=4)
-    chain.add_argument("--rows", type=int, default=12)
-    chain.add_argument("--seed", type=int, default=0)
-    chain.add_argument("--steps", type=int, default=6, help="mutations to replay")
-    chain.add_argument(
-        "--ground-shard-size",
-        type=_positive_int,
-        default=None,
-        help="entries per grounding shard (default: sharding module default)",
-    )
-    chain.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="replay the same chain with full re-grounds (for comparison)",
-    )
-
     sub.add_parser("demo", help="the paper's running example")
-
-    store = sub.add_parser(
-        "store",
-        help="inspect/maintain a grounding store (ls, gc, verify)",
-    )
-    store.add_argument("action", choices=["ls", "gc", "verify"])
-    store.add_argument("root", help="grounding store directory")
-    store.add_argument(
-        "--key", default=None, help="verify only this entry (default: all)"
-    )
-    store.add_argument(
-        "--all",
-        action="store_true",
-        dest="all_entries",
-        help="gc: remove every entry, not just stale/leftover ones",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -304,17 +229,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     names = list(METHOD_REGISTRY) if args.method == "all" else [args.method]
     methods = {name: METHOD_REGISTRY[name] for name in names}
-    knobs = (args.ground_shard_size, args.grounding_store)
-    if "collective" in methods and (
-        any(knob is not None for knob in knobs) or args.no_incremental
-    ):
+    if "collective" in methods and args.ground_shard_size is not None:
         methods["collective"] = partial(
             solve_collective,
-            settings=CollectiveSettings(
-                ground_shard_size=args.ground_shard_size,
-                grounding_store=args.grounding_store,
-                incremental=not args.no_incremental,
-            ),
+            settings=CollectiveSettings(ground_shard_size=args.ground_shard_size),
         )
     start = time.perf_counter()
     problem = scenario.selection_problem()
@@ -345,76 +263,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.ibench.mutations import (
-        AddTargetTuple,
-        RemoveTargetTuple,
-        mutation_chain,
-    )
-    from repro.selection.collective import (
-        CollectiveGroundingCache,
-        CollectiveSettings,
-        solve_collective,
-    )
-
-    config = ScenarioConfig(
-        num_primitives=args.primitives,
-        rows_per_relation=args.rows,
-        seed=args.seed,
-    )
-    scenario = generate_scenario(config)
-    # Edit late-sorting target tuples: remove one, re-add it, repeat over
-    # a small pool.  Late in j-fact order keeps most shard slices
-    # positionally stable, which is where the patch reuse comes from.
-    j_facts = sorted(scenario.target, key=repr)
-    pool = j_facts[-max(2, min(4, len(j_facts))):]
-    mutations = []
-    for step in range(args.steps):
-        f = pool[(step // 2) % len(pool)]
-        mutations.append(
-            RemoveTargetTuple(f) if step % 2 == 0 else AddTargetTuple(f)
-        )
-    settings = CollectiveSettings(
-        ground_shard_size=args.ground_shard_size,
-        incremental=not args.no_incremental,
-    )
-    cache = CollectiveGroundingCache()
-    rows = []
-    for mutation, problem in mutation_chain(
-        scenario.source, scenario.target, scenario.candidates, mutations
-    ):
-        start = time.perf_counter()
-        grounded = cache.grounded(problem, settings)
-        ground_seconds = time.perf_counter() - start
-        result = solve_collective(problem, settings, grounded=grounded)
-        stats = grounded.splice_stats
-        rows.append(
-            [
-                "base" if mutation is None else type(mutation).__name__,
-                "-" if stats is None else f"{stats.reused_shards}/{stats.num_shards}",
-                "-" if stats is None else round(stats.reuse_fraction, 3),
-                round(ground_seconds, 4),
-                float(result.objective),
-            ]
-        )
-    print(scenario.summary())
-    print(
-        format_table(
-            ["edit", "shards reused", "term reuse", "ground s", "objective"],
-            rows,
-            title=(
-                "mutation chain "
-                f"(incremental={'off' if args.no_incremental else 'on'}, "
-                f"patched {cache.patch_hits}/{cache.misses} misses)"
-            ),
-        )
-    )
-    cache.clear()
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = ScenarioConfig(num_primitives=args.primitives, rows_per_relation=args.rows)
     engine = EvaluationEngine(
@@ -423,8 +271,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         warm_start=not args.no_warm_start,
         cache_dir=args.cache_dir,
         ground_shard_size=args.ground_shard_size,
-        grounding_store=args.grounding_store,
-        incremental=not args.no_incremental,
     )
     sweep = engine.sweep(base, args.noise, args.levels, args.seeds)
     columns = [*DEFAULT_GRID_METHODS, "gold"]
@@ -480,7 +326,6 @@ def _cmd_weight_sweep(args: argparse.Namespace) -> int:
         methods=DEFAULT_GRID_METHODS,
         executor=args.executor,
         warm_start=not args.no_warm_start,
-        grounding_store=args.grounding_store,
     )
     sweep = engine.weight_sweep(base, weight_grid, args.seeds)
     columns = [*DEFAULT_GRID_METHODS, "gold"]
@@ -540,45 +385,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     result = solve_collective(problem)
     print(f"\ncollective selection: {sorted(result.selected) or '{}'} F={result.objective}")
     return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.psl.store import GroundingStore
-
-    store = GroundingStore(args.root)
-    if args.action == "ls":
-        entries = store.ls()
-        print(
-            format_table(
-                ["key", "vars", "potentials", "constraints", "copies", "bytes", "state"],
-                [
-                    [
-                        e.key[:16],
-                        e.num_variables,
-                        e.num_potentials,
-                        e.num_constraints,
-                        e.num_copies,
-                        e.bytes,
-                        "stale" if e.stale else "ok",
-                    ]
-                    for e in entries
-                ],
-                title=f"{len(entries)} entr(y/ies) in {args.root}",
-            )
-        )
-        return 0
-    if args.action == "gc":
-        removed = store.gc(all_entries=args.all_entries)
-        for name in removed:
-            print(f"removed {name}")
-        print(f"gc: removed {len(removed)} director(y/ies)")
-        return 0
-    results = store.verify(args.key)
-    for key, ok, message in results:
-        print(f"{'ok ' if ok else 'BAD'} {key[:16]} {message}")
-    bad = sum(1 for _, ok, _ in results if not ok)
-    print(f"verify: {len(results) - bad} ok, {bad} bad")
-    return 1 if bad else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -648,9 +454,7 @@ _COMMANDS = {
     "select": _cmd_select,
     "sweep": _cmd_sweep,
     "weight-sweep": _cmd_weight_sweep,
-    "chain": _cmd_chain,
     "demo": _cmd_demo,
-    "store": _cmd_store,
     "lint": _cmd_lint,
 }
 
@@ -661,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
-        # ``repro store ls | head`` and friends: a pipe closed by the
+        # ``repro sweep ... | head`` and friends: a pipe closed by the
         # downstream reader is normal usage, not a traceback.  Point
         # stdout at devnull so interpreter shutdown does not re-raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

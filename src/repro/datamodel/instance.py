@@ -66,8 +66,7 @@ class Fact:
 
     def __repr__(self) -> str:
         # map() over a genexpr: fact reprs order the error-mediator
-        # groups during grounding *and* store-key hashing, so this runs
-        # hot on every cold start.
+        # groups during grounding, so this runs hot on every ground.
         inner = ", ".join(map(repr, self.values))
         return f"{self.relation}({inner})"
 

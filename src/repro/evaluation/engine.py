@@ -108,9 +108,9 @@ class GridCell:
 #: Bump when the on-disk scenario/problem formats (or the generation /
 #: chasing semantics behind them) change: the version is folded into the
 #: cache key, so entries from older formats are simply never matched.
-#: v2: :class:`~repro.selection.metrics.SelectionProblem` pickles carry
-#: the ``lineage`` revision field consumed by incremental grounding.
-CACHE_FORMAT_VERSION = 2
+#: v2: :class:`~repro.selection.metrics.SelectionProblem` pickles carried
+#: a ``lineage`` revision field; v3: they no longer do.
+CACHE_FORMAT_VERSION = 3
 
 
 def config_hash(config: ScenarioConfig) -> str:
@@ -269,19 +269,6 @@ class ScenarioCache:
         self._problems[config] = (problem, elapsed)
         return problem, elapsed
 
-    def grounding_dir(self) -> Path | None:
-        """The sibling grounding-store directory of this cache's disk layer.
-
-        Scenario/problem entries and spilled groundings travel together:
-        a cache directory implies a ``groundings/`` subdirectory for the
-        cross-process :class:`~repro.psl.store.GroundingStore`, so every
-        lane/worker sharing the scenario cache also shares one on-disk
-        grounding per structure.  ``None`` when the cache is memory-only.
-        """
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / "groundings"
-
     def clear(self) -> None:
         """Drop the in-memory layer (disk entries, if any, survive)."""
         self._scenarios.clear()
@@ -298,8 +285,8 @@ class ConfigCells:
 
     ``cache_dir`` (if set) points the executing process's scenario cache
     at the shared on-disk cache; ``collective_settings`` configures the
-    collective solver (grounding shard size, grounding store, weights…)
-    wherever the unit runs.
+    collective solver (grounding shard size, weights…) wherever the unit
+    runs.
     ``warm_payload`` carries the previous lane cell's chained collective
     warm-start state (fractional vectors + full ADMM state) into the
     executing process — the engine's wave scheduler sets it so
@@ -488,22 +475,6 @@ class EvaluationEngine:
             ``None`` keeps caching in-memory only.
         ground_shard_size: entries per grounding shard (``None`` → the
             sharding default).
-        grounding_store: root directory of a cross-process disk
-            :class:`~repro.psl.store.GroundingStore` for the collective
-            method's compiled groundings — a cold process *attaches*
-            (mmap + reweight) a spilled structure instead of
-            re-grounding it.  Defaults to the scenario cache's sibling
-            ``groundings/`` directory whenever a disk cache is in play
-            (``cache_dir`` or a *cache* with one), so grid lanes and
-            persistent-pool workers share one on-disk grounding per
-            structure; ``None`` with no disk cache → off.
-        incremental: incremental (delta) grounding for the collective
-            method — on a cache miss for a problem carrying a
-            :class:`~repro.selection.metrics.ProblemLineage`, patch the
-            cached parent revision's compiled structure (re-ground only
-            the shards the edit touched) instead of grounding from
-            scratch.  ``True`` by default; ``False`` forces full
-            re-grounds.
     """
 
     def __init__(
@@ -515,8 +486,6 @@ class EvaluationEngine:
         cache: ScenarioCache | None = None,
         cache_dir: str | Path | None = None,
         ground_shard_size: int | None = None,
-        grounding_store: str | Path | None = None,
-        incremental: bool = True,
     ):
         self.methods = tuple(methods if methods is not None else DEFAULT_GRID_METHODS)
         self.executor = resolve_executor(executor)
@@ -524,22 +493,10 @@ class EvaluationEngine:
         self.warm_start = warm_start
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.cache = cache if cache is not None else ScenarioCache(cache_dir=cache_dir)
-        if grounding_store is None:
-            grounding_store = self.cache.grounding_dir()
-        self.grounding_store = (
-            str(grounding_store) if grounding_store is not None else None
-        )
-        self.incremental = bool(incremental)
         self.collective_settings: CollectiveSettings | None = None
-        if (
-            ground_shard_size is not None
-            or self.grounding_store is not None
-            or not self.incremental
-        ):
+        if ground_shard_size is not None:
             self.collective_settings = CollectiveSettings(
-                ground_shard_size=ground_shard_size,
-                grounding_store=self.grounding_store,
-                incremental=self.incremental,
+                ground_shard_size=ground_shard_size
             )
 
     def run_grid(self, configs: Sequence[ScenarioConfig]) -> GridResult:

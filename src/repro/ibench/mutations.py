@@ -1,8 +1,7 @@
 """Primitive-level mutation chains over generated scenarios.
 
-Incremental-grounding workloads need *edit chains*: a scenario whose
-data changes a few tuples at a time, each revision solved against the
-previous one.  This module supplies the edit primitives —
+Edit workloads need *edit chains*: a scenario whose data changes a few
+tuples at a time, each revision solved after the previous one.  This module supplies the edit primitives —
 :class:`AddTargetTuple` / :class:`RemoveTargetTuple` /
 :class:`AddSourceTuple` / :class:`RemoveSourceTuple` /
 :class:`FlipCandidate` — and :class:`MutableSelection`, which replays
@@ -22,17 +21,12 @@ target edit — only the chase, the expensive half, is reused.  All stored
 tables keep candidate-*local* null labels; the merge shifts them into
 the global label space exactly as a serial build would, so equivalence
 survives any mix of reused and re-chased candidates.
-
-Every revision carries a :class:`~repro.selection.metrics.
-ProblemLineage` linking it to its parent, which is what lets the
-collective grounding cache *patch* the parent's compiled structure
-instead of re-grounding (see ``docs/incremental.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from repro.datamodel.instance import Fact, Instance
 from repro.errors import SelectionError
@@ -44,7 +38,6 @@ from repro.selection.metrics import (
     cover_and_error_tables,
     evaluate_candidate,
     merge_candidate_tables,
-    next_lineage,
 )
 
 
@@ -100,9 +93,8 @@ class MutableSelection:
     Keeps the per-candidate :class:`~repro.selection.metrics.
     CandidateTables` in their candidate-local null-label space plus
     private copies of the source/target instances.  :meth:`apply`
-    recomputes only what an edit can touch and re-merges; the resulting
-    problems form a lineage chain consumable by the incremental
-    grounding tier.
+    recomputes only what an edit can touch and re-merges into a new
+    problem.
 
     ``rechased_candidates`` counts the chases actually rerun across the
     chain's lifetime — the work the delta replay saved is the chain
@@ -127,18 +119,16 @@ class MutableSelection:
             for i, candidate in enumerate(self.candidates)
         ]
         self.rechased_candidates = 0
-        self.problem = self._merge(parent=None)
+        self.problem = self._merge()
 
-    def _merge(self, parent) -> SelectionProblem:
-        problem = merge_candidate_tables(
+    def _merge(self) -> SelectionProblem:
+        return merge_candidate_tables(
             self.source.copy(),
             self.target.copy(),
             list(self.candidates),
             self._tables,
             j_facts=list(self._indexed.order),
         )
-        problem.lineage = next_lineage(parent)
-        return problem
 
     def _rechase(self, indices: Iterable[int]) -> None:
         """Re-chase the candidates at *indices* against the unchanged target."""
@@ -167,7 +157,7 @@ class MutableSelection:
         return frozenset(a.relation for a in self.candidates[index].body)
 
     def apply(self, mutation: Mutation) -> SelectionProblem:
-        """Apply one edit; returns the new (lineage-linked) problem."""
+        """Apply one edit; returns the new problem."""
         if isinstance(mutation, AddTargetTuple):
             if not self.target.add(mutation.fact):
                 raise SelectionError(f"{mutation.fact} already in target")
@@ -197,24 +187,6 @@ class MutableSelection:
             self._rechase([mutation.index])
         else:
             raise SelectionError(f"unknown mutation {mutation!r}")
-        self.problem = self._merge(parent=self.problem.lineage)
+        self.problem = self._merge()
         return self.problem
 
-
-def mutation_chain(
-    source: Instance,
-    target: Instance,
-    candidates: Iterable[StTgd],
-    mutations: Iterable[Mutation],
-) -> Iterator[tuple[Mutation | None, SelectionProblem]]:
-    """Replay *mutations* as a lineage-linked chain of selection problems.
-
-    Yields ``(None, base_problem)`` first, then ``(mutation, problem)``
-    per applied edit.  Each yielded problem's ``lineage.parent`` names
-    the previous revision, so solving them in order through the
-    collective grounding cache exercises the patch tier at every step.
-    """
-    state = MutableSelection(source, target, candidates)
-    yield None, state.problem
-    for mutation in mutations:
-        yield mutation, state.apply(mutation)

@@ -14,7 +14,7 @@ groundings (or are added directly).  Solved by consensus ADMM in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -84,33 +84,32 @@ def filter_constraint_terms(
     return kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HingePotential:
-    """``weight * max(0, sum(coeff*x) + offset)``, optionally squared."""
+    """The structure of ``w * max(0, sum(coeff*x) + offset)``, optionally squared.
+
+    The weight ``w`` is not part of it: an MRF keeps every potential's
+    weight in its weight vector (:meth:`HingeLossMRF.potential_weights`),
+    so reweighting never rebuilds these objects.
+    """
 
     coefficients: tuple[tuple[int, float], ...]
     offset: float
-    weight: float
     squared: bool = False
-
-    def value(self, x) -> float:
-        s = self.offset + sum(c * x[i] for i, c in self.coefficients)
-        hinge = max(0.0, s)
-        return self.weight * (hinge * hinge if self.squared else hinge)
 
     def unit_value(self, x) -> float:
         """The unweighted hinge mass ``max(0, a^T x + b)^p`` at *x*.
 
-        The potential's feature value: ``value(x) == weight *
-        unit_value(x)`` up to rounding.  Weight-independent, which is
-        what structure fingerprints and per-group hinge masses need.
+        The potential's feature value; its energy is ``w * unit_value(x)``.
+        Weight-independent, which is what structure fingerprints and
+        per-group hinge masses need.
         """
         s = self.offset + sum(c * x[i] for i, c in self.coefficients)
         hinge = max(0.0, s)
         return hinge * hinge if self.squared else hinge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HardConstraint:
     """``sum(coeff*x) + offset <= 0`` (or ``== 0`` when *equality*)."""
 
@@ -121,77 +120,6 @@ class HardConstraint:
     def violation(self, x) -> float:
         s = self.offset + sum(c * x[i] for i, c in self.coefficients)
         return abs(s) if self.equality else max(0.0, s)
-
-
-class _LazyTermList:
-    """Deferred potential/constraint objects of a store-attached MRF.
-
-    Building the per-term objects is the expensive half of attaching a
-    spilled grounding (:func:`rebuild_mrf`), and the hot path never
-    reads them: the ADMM stack solves off the precompiled flat arrays,
-    :meth:`HingeLossMRF.energy` slices them too, reweighting updates the
-    weight *vector* (see :meth:`HingeLossMRF._set_weight`), and the
-    structural checks only take ``len()``.  This sequence therefore
-    defers building the objects until something actually subscripts,
-    iterates, or pickles it — fingerprints, the energy fallback, the
-    per-potential diagnostics.  Materialization reads the MRF's *live*
-    weight vector, so weights rewritten before the first touch are
-    reflected exactly, as if the objects had existed all along.
-    """
-
-    __slots__ = ("_length", "_build", "_items")
-
-    def __init__(self, length: int, build):
-        self._length = length
-        self._build = build
-        self._items: list | None = None
-
-    @property
-    def materialized(self) -> bool:
-        return self._items is not None
-
-    def _force(self) -> list:
-        if self._items is None:
-            items = self._build()
-            if len(items) != self._length:
-                raise InferenceError(
-                    f"deferred term list built {len(items)} objects, "
-                    f"expected {self._length}"
-                )
-            self._items = items
-            self._build = None
-        return self._items
-
-    def __len__(self) -> int:
-        return self._length if self._items is None else len(self._items)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __getitem__(self, index):
-        return self._force()[index]
-
-    def __setitem__(self, index, value) -> None:
-        self._force()[index] = value
-
-    def __iter__(self):
-        return iter(self._force())
-
-    def __eq__(self, other):
-        if isinstance(other, _LazyTermList):
-            other = other._force()
-        if isinstance(other, list):
-            return self._force() == other
-        return NotImplemented
-
-    def append(self, value) -> None:
-        self._force().append(value)
-        self._length = len(self._items)
-
-    def __reduce__(self):
-        # Pickle as the plain list: receivers get ordinary objects, and
-        # the build closure (which may hold mmap views) never ships.
-        return (list, (self._force(),))
 
 
 @dataclass
@@ -208,18 +136,13 @@ class HingeLossMRF:
     the minimizer, but :meth:`energy` must include them for the reported
     objective to equal the true one.
 
-    Every :meth:`add_term_block` call also records the block's extent in
-    the potential and constraint lists (``_block_extents``), so the shard
-    structure chosen at grounding time survives into the model: delta
-    patching (:mod:`repro.psl.delta`) splices per-shard ranges by it and
-    the grounding store (:mod:`repro.psl.store`) persists it.
-
     **Weights vs structure.**  The HL-MRF energy is *linear* in the
     potential weights, so weights are first-class mutable state, kept
     separate from the (immutable once grounded) term structure.  Every
     potential carries an optional *origin group* — the rule or objective
-    component it was grounded from — and its weight lives in one
-    contiguous per-potential vector (:meth:`potential_weights`).
+    component it was grounded from — and its weight lives only in one
+    per-potential vector (:meth:`potential_weights`), never on the
+    :class:`HingePotential` objects.
     :meth:`set_group_weights` / :meth:`set_group_potential_weights` /
     :meth:`set_potential_weights` rewrite weights in place (bumping
     :attr:`weights_version` so compiled solver arrays know to
@@ -235,8 +158,6 @@ class HingeLossMRF:
     potentials: list[HingePotential] = field(default_factory=list)
     constraints: list[HardConstraint] = field(default_factory=list)
     constant_energy: float = 0.0
-    #: (pot_lo, pot_hi, con_lo, con_hi) extents of each add_term_block call.
-    _block_extents: list[tuple[int, int, int, int]] = field(default_factory=list)
     #: Per-potential origin-group id (-1 = fixed weight, no group).
     potential_groups: list[int] = field(default_factory=list)
     #: Bumped by every weight mutation; consumers cache against it.
@@ -258,23 +179,9 @@ class HingeLossMRF:
     def num_variables(self) -> int:
         return len(self.variables)
 
-    def _ensure_index(self) -> dict[GroundAtom, int]:
-        """The atom→index map, rebuilt when it lags ``variables``.
-
-        Normal grounding keeps the two in lockstep; a store-attached MRF
-        (:func:`rebuild_mrf`) starts with an empty map and pays the atom
-        hashing only when something actually resolves atoms — never on
-        the attach path itself.
-        """
-        index = self._index
-        if len(index) != len(self.variables):
-            index = {atom: i for i, atom in enumerate(self.variables)}
-            self._index = index
-        return index
-
     def variable_index(self, atom: GroundAtom) -> int:
         """Intern *atom* as a variable and return its index."""
-        index = self._ensure_index()
+        index = self._index
         idx = index.get(atom)
         if idx is None:
             idx = len(self.variables)
@@ -288,7 +195,7 @@ class HingeLossMRF:
 
     def index_of(self, atom: GroundAtom) -> int:
         try:
-            return self._ensure_index()[atom]
+            return self._index[atom]
         except KeyError:
             raise InferenceError(f"{atom} is not a variable of this MRF") from None
 
@@ -320,9 +227,8 @@ class HingeLossMRF:
         """The per-potential weight vector as a contiguous float64 array.
 
         A snapshot copy: mutate weights through the ``set_*`` methods
-        (which keep the potentials, the constant energy, and
-        :attr:`weights_version` consistent), not by writing into this
-        array.
+        (which keep the constant energy and :attr:`weights_version`
+        consistent), not by writing into this array.
         """
         return np.asarray(self._pot_weights, dtype=np.float64)
 
@@ -332,19 +238,6 @@ class HingeLossMRF:
             self._constant_weighted[gid] = (
                 self._constant_weighted.get(gid, 0.0) + weighted
             )
-
-    def _set_weight(self, i: int, weight: float) -> None:
-        if self._pot_weights[i] != weight:
-            potentials = self.potentials
-            if isinstance(potentials, _LazyTermList) and not potentials.materialized:
-                # Store-attached MRF whose term objects are still
-                # deferred: they materialize from the live weight
-                # vector, so updating the vector alone keeps them exact
-                # — and reweighting stays free of object construction.
-                self._pot_weights[i] = weight
-                return
-            potentials[i] = replace(potentials[i], weight=weight)
-            self._pot_weights[i] = weight
 
     @staticmethod
     def _check_new_weight(key: Hashable, weight: float) -> float:
@@ -385,16 +278,9 @@ class HingeLossMRF:
             if float(weight) == 0.0 and not members and not mass:
                 continue  # was ground at zero weight; zero -> zero is a no-op
             weight = self._check_new_weight(key, weight)
-            potentials = self.potentials
-            if isinstance(potentials, _LazyTermList) and not potentials.materialized:
-                # Deferred term objects read the live weight vector when
-                # they materialize — bulk-update the vector directly.
-                pot_weights = self._pot_weights
-                for i in members:
-                    pot_weights[i] = weight
-            else:
-                for i in members:
-                    self._set_weight(i, weight)
+            pot_weights = self._pot_weights
+            for i in members:
+                pot_weights[i] = weight
             if mass:
                 weighted = weight * mass
                 self.constant_energy += weighted - self._constant_weighted[gid]
@@ -427,8 +313,9 @@ class HingeLossMRF:
                 f"group {key!r} has {len(members)} potentials, got "
                 f"{len(weights)} weights"
             )
+        pot_weights = self._pot_weights
         for i, weight in zip(members, weights):
-            self._set_weight(i, self._check_new_weight(key, weight))
+            pot_weights[i] = self._check_new_weight(key, weight)
         self.weights_version += 1
 
     def set_potential_weights(self, weights: Sequence[float]) -> None:
@@ -451,8 +338,9 @@ class HingeLossMRF:
             raise InferenceError(
                 f"expected {len(self.potentials)} weights, got {len(weights)}"
             )
-        for i, weight in enumerate(weights):
-            self._set_weight(i, self._check_new_weight("<vector>", weight))
+        self._pot_weights = [
+            self._check_new_weight("<vector>", weight) for weight in weights
+        ]
         self.weights_version += 1
 
     def add_potential(
@@ -493,7 +381,6 @@ class HingeLossMRF:
             HingePotential(
                 tuple((self.variable_index(a), c) for a, c in kept),
                 float(offset),
-                float(weight),
                 squared,
             )
         )
@@ -537,53 +424,43 @@ class HingeLossMRF:
                 self._zero_dropped.add(gid)
         for key, mass, weighted in block.constant_masses:
             self._record_constant(self.group_id(key), mass, weighted)
-        pot_before, con_before = len(self.potentials), len(self.constraints)
-        kinds = block.kinds
-        offsets = block.offsets
-        weights = block.weights
+        # Plain lists: per-element numpy indexing costs far more than the
+        # conversion, and tolist() yields the same Python ints and floats.
         groups = block.groups
-        ptr = block.term_ptr
-        atom_index = block.atom_index
-        coefficient = block.coefficient
-        for t in range(block.num_terms):
-            pairs = tuple(
-                (local_to_global[atom_index[k]], float(coefficient[k]))
-                for k in range(ptr[t], ptr[t + 1])
-            )
-            kind = int(kinds[t])
-            if kind in (KIND_HINGE, KIND_SQUARED):
+        ptr = block.term_ptr.tolist()
+        offsets = block.offsets.tolist()
+        weights = block.weights.tolist()
+        variables = [local_to_global[i] for i in block.atom_index.tolist()]
+        coefficient = block.coefficient.tolist()
+        for t, kind in enumerate(block.kinds.tolist()):
+            lo, hi = ptr[t], ptr[t + 1]
+            pairs = tuple(zip(variables[lo:hi], coefficient[lo:hi]))
+            if kind == KIND_HINGE or kind == KIND_SQUARED:
                 key = groups[t] if groups is not None else None
                 gid = self.group_id(key) if key is not None else -1
                 if gid >= 0:
                     self._group_members[gid].append(len(self.potentials))
                 self.potential_groups.append(gid)
-                self._pot_weights.append(float(weights[t]))
+                self._pot_weights.append(weights[t])
                 self.potentials.append(
-                    HingePotential(
-                        pairs, float(offsets[t]), float(weights[t]), kind == KIND_SQUARED
-                    )
+                    HingePotential(pairs, offsets[t], kind == KIND_SQUARED)
                 )
             else:
                 self.constraints.append(
-                    HardConstraint(pairs, float(offsets[t]), kind == KIND_EQ)
+                    HardConstraint(pairs, offsets[t], kind == KIND_EQ)
                 )
-        self._block_extents.append(
-            (pot_before, len(self.potentials), con_before, len(self.constraints))
-        )
 
     def _energy_arrays(self) -> tuple[np.ndarray, ...]:
         """Potential-prefix slices of the compiled arrays, for :meth:`energy`.
 
         Cached, keyed on the potential count: the potentials list is
-        append-only, and reweighting replaces entries with
-        same-structure copies, so the count fully identifies the
-        (weight-independent) structure.  Weights are deliberately *not*
-        cached — :meth:`energy` reads them fresh every call, so the
-        cache survives any amount of in-place reweighting.  The slices
-        come from the same :func:`~repro.psl.partition.compiled_term_arrays`
-        the solver runs on, which also keeps a store-attached MRF's
-        deferred term objects unmaterialized (the arrays are read-only
-        mmap views there).
+        append-only and reweighting never touches it, so the count fully
+        identifies the (weight-independent) structure.  Weights are
+        deliberately *not* cached — :meth:`energy` reads them fresh every
+        call, so the cache survives any amount of in-place reweighting.
+        The slices come from the same
+        :func:`~repro.psl.partition.compiled_term_arrays` the solver runs
+        on.
         """
         cached = getattr(self, "_energy_terms", None)
         num = len(self.potentials)
@@ -608,9 +485,7 @@ class HingeLossMRF:
         # The energy-array cache is a derived O(copies) structure; keep
         # it out of pickles (engine work units ship MRFs) and let the
         # receiver rebuild it lazily.  Likewise the precompiled flat
-        # solver arrays a store attach seeds (mmap views must never be
-        # pickled as full arrays); the receiver recompiles from the
-        # potential lists.
+        # solver arrays; the receiver recompiles from the potential lists.
         state = self.__dict__.copy()
         state.pop("_energy_terms", None)
         state.pop("_compiled", None)
@@ -642,123 +517,3 @@ class HingeLossMRF:
         if not self.constraints:
             return 0.0
         return max(c.violation(x) for c in self.constraints)
-
-
-def rebuild_mrf(
-    variables: Sequence[GroundAtom],
-    *,
-    kind: Sequence[int],
-    offset: Sequence[float],
-    weight: Sequence[float],
-    term_ptr: Sequence[int],
-    var: Sequence[int],
-    coeff: Sequence[float],
-    num_potentials: int,
-    potential_groups: Sequence[int],
-    group_keys: Sequence[Hashable],
-    zero_dropped: Iterable[int],
-    constant_mass: Mapping[int, float],
-    constant_weighted: Mapping[int, float],
-    constant_energy: float,
-    block_extents: Iterable[tuple[int, int, int, int]],
-) -> HingeLossMRF:
-    """Reconstruct a grounded :class:`HingeLossMRF` from flat CSR arrays.
-
-    The structural inverse of grounding, used by the disk grounding
-    store (:mod:`repro.psl.store`): given the flat term arrays in
-    potentials-then-constraints order plus the registry metadata
-    (interned variables, origin groups, folded-constant masses, term
-    block extents), rebuild the full MRF **without re-interning atoms
-    through the grounding path** — no shard planning, no
-    ``add_term_block``, no dict-based coefficient maps.  Every field is
-    reproduced exactly as the original grounding left it (float64
-    round-trips bit for bit), so fingerprints, reweighting, and solves
-    on the rebuilt MRF are indistinguishable from the original's.
-
-    Array-likes may be numpy arrays (including read-only mmap views) or
-    plain sequences; they are only read.
-
-    The potential/constraint *objects* are deferred
-    (:class:`_LazyTermList`): the solver stack works entirely off the
-    flat arrays, so an attached MRF solves and reweights without ever
-    constructing them — they materialize (from the live weight vector)
-    only when something iterates or subscripts the lists, e.g. a
-    fingerprint or the per-potential diagnostics.
-    """
-    def as_list(values) -> list:
-        # ndarray.tolist() converts to builtin ints/floats at C speed
-        # (exact for int64/float64); plain sequences pass through.
-        return values.tolist() if hasattr(values, "tolist") else list(values)
-
-    num_terms = len(kind)
-    pot_weights = as_list(weight[:num_potentials])
-
-    shared: dict = {}
-
-    def term_source() -> dict:
-        if not shared:
-            shared["pairs"] = list(zip(as_list(var), as_list(coeff)))
-            shared["ptr"] = as_list(term_ptr)
-            shared["kinds"] = as_list(kind)
-            shared["offsets"] = as_list(offset)
-        return shared
-
-    def build_potentials() -> list:
-        s = term_source()
-        pairs, ptr, kinds, offsets = s["pairs"], s["ptr"], s["kinds"], s["offsets"]
-        # pot_weights is the MRF's live _pot_weights list (mutated in
-        # place by reweights), so late materialization stays exact.
-        return [
-            HingePotential(
-                tuple(pairs[ptr[t] : ptr[t + 1]]),
-                offsets[t],
-                pot_weights[t],
-                kinds[t] == KIND_SQUARED,
-            )
-            for t in range(num_potentials)
-        ]
-
-    def build_constraints() -> list:
-        s = term_source()
-        pairs, ptr, kinds, offsets = s["pairs"], s["ptr"], s["kinds"], s["offsets"]
-        return [
-            HardConstraint(
-                tuple(pairs[ptr[t] : ptr[t + 1]]),
-                offsets[t],
-                kinds[t] == KIND_EQ,
-            )
-            for t in range(num_potentials, num_terms)
-        ]
-
-    potentials = _LazyTermList(num_potentials, build_potentials)
-    constraints = _LazyTermList(num_terms - num_potentials, build_constraints)
-    groups = [int(g) for g in as_list(potential_groups)]
-    if len(groups) != num_potentials:
-        raise InferenceError(
-            f"expected {num_potentials} potential group tags, got {len(groups)}"
-        )
-    keys = list(group_keys)
-    members: dict[int, list[int]] = {gid: [] for gid in range(len(keys))}
-    for i, gid in enumerate(groups):
-        if gid >= 0:
-            members[gid].append(i)
-    atoms = list(variables)
-    return HingeLossMRF(
-        variables=atoms,
-        _index={},  # rebuilt lazily by _ensure_index on first atom lookup
-        potentials=potentials,
-        constraints=constraints,
-        constant_energy=float(constant_energy),
-        _block_extents=[tuple(int(v) for v in e) for e in block_extents],
-        potential_groups=groups,
-        weights_version=0,
-        _pot_weights=pot_weights,
-        _group_ids={key: gid for gid, key in enumerate(keys)},
-        _group_keys=keys,
-        _group_members=members,
-        _constant_mass={int(g): float(m) for g, m in constant_mass.items()},
-        _constant_weighted={
-            int(g): float(m) for g, m in constant_weighted.items()
-        },
-        _zero_dropped={int(g) for g in zero_dropped},
-    )

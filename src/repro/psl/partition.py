@@ -14,7 +14,7 @@ gather back to the copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -32,16 +32,12 @@ class FlatTermArrays:
     """One MRF's flat solver arrays (CSR over variable copies).
 
     The single compiled form of an MRF: :func:`compile_term_arrays`
-    assembles it from the potential/constraint lists, the ADMM solver
-    runs its local step over it, :meth:`~repro.psl.hlmrf.HingeLossMRF.
-    energy` slices its potential prefix, and the grounding store
-    (:mod:`repro.psl.store`) spills exactly these arrays to disk and
-    re-attaches them as read-only mmap views — every field except
-    ``weight`` is structure, immutable once grounded, so zero-copy
-    attach is safe.  ``weight`` is the flat per-term weight vector; it
-    **must be writable** (the solver's weight sync rewrites its
-    potential prefix in place), so the attach path substitutes a fresh
-    in-memory copy for the mmapped original.
+    assembles it from the potential/constraint lists and the weight
+    vector, the ADMM solver runs its local step over it, and
+    :meth:`~repro.psl.hlmrf.HingeLossMRF.energy` slices its potential
+    prefix.  Every field except ``weight`` is structure, immutable once
+    grounded.  ``weight`` is the flat per-term weight vector; the
+    solver's weight sync rewrites its potential prefix in place.
     """
 
     num_variables: int
@@ -70,9 +66,9 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
 
     Array assembly is single-pass ``np.fromiter`` over generator chains
     — no intermediate Python lists, no per-copy interpreter loop.  The
-    derived arrays (``term``, ``normsq``, ``degree``) are computed here
-    once and carried along, so a consumer that persisted them (the
-    grounding store) reloads bit-identical values instead of recomputing.
+    weights come from the MRF's weight vector; the derived arrays
+    (``term``, ``normsq``, ``degree``) are computed here once and
+    carried along.
     """
     potentials, constraints = mrf.potentials, mrf.constraints
     num_terms = len(potentials) + len(constraints)
@@ -89,11 +85,8 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
         dtype=np.float64,
         count=num_terms,
     )
-    weight_arr = np.fromiter(
-        chain((p.weight for p in potentials), repeat(0.0, len(constraints))),
-        dtype=np.float64,
-        count=num_terms,
-    )
+    weight_arr = np.zeros(num_terms, dtype=np.float64)
+    weight_arr[: len(potentials)] = mrf.potential_weights()
     counts = np.fromiter(
         (len(t.coefficients) for t in chain(potentials, constraints)),
         dtype=np.int64,
@@ -138,9 +131,8 @@ def compiled_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
     """*mrf*'s compiled arrays, compiling (and caching) them if needed.
 
     An MRF may already carry :class:`FlatTermArrays` (attribute
-    ``_compiled`` — seeded at ground time, by a delta splice or by the
-    grounding store's mmap attach); they are reused while their term
-    counts still match the MRF's lists, which are append-only.
+    ``_compiled``, seeded at ground time); they are reused while their
+    term counts still match the MRF's lists, which are append-only.
     Otherwise the arrays are compiled here and seeded on the MRF, so the
     solver and :meth:`~repro.psl.hlmrf.HingeLossMRF.energy` share one
     compilation.  The ``weight`` column may be stale (reweights do not

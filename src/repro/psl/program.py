@@ -73,17 +73,6 @@ class RuleGroundingShard:
     weight: float | None
     database: Database
 
-    def content_key(self):
-        """Spec identity for incremental grounding (rule + weight).
-
-        Deliberately excludes the database: a rule shard's *output* also
-        depends on the grounding data, so key-equal rule shards are
-        reusable only under a data-level gate — exactly what
-        :class:`repro.psl.delta.IncrementalProgramGrounding` establishes
-        through the database change journal before pairing shards.
-        """
-        return ("rule-shard", self.rule, self.weight)
-
     def build(self) -> ShardResult:
         database = self.database
         builder = TermBlockBuilder()
@@ -268,7 +257,6 @@ class PslProgram:
         self,
         weight_overrides: Mapping[Rule, float] | None = None,
         shard_size: int | None = None,
-        observer=None,
     ) -> tuple[HingeLossMRF, GroundingStats]:
         """Ground through shards; also returns merge stats.
 
@@ -280,11 +268,7 @@ class PslProgram:
         mrf = HingeLossMRF()
         for atom in self.database.targets_in_order:
             mrf.variable_index(atom)
-        return ground_shards(
-            self.grounding_shards(weight_overrides, shard_size),
-            mrf=mrf,
-            observer=observer,
-        )
+        return ground_shards(self.grounding_shards(weight_overrides, shard_size), mrf=mrf)
 
     def ground_with_origins(
         self,
@@ -460,21 +444,25 @@ class GroundedProgram:
         """Phi_r: per-rule unweighted hinge mass at *assignment*.
 
         Computed from the grounded structure's recorded origin groups —
-        no re-grounding.  Arithmetic matches the historical
-        ``value/weight`` evaluation exactly, so learning trajectories
-        are bit-identical to the re-grounding path.
+        no re-grounding.  Each potential contributes ``w * unit / w``
+        (0 when ``w`` is 0), the historical weighted-value-over-weight
+        arithmetic, so learning trajectories are bit-identical to the
+        re-grounding path.
         """
         x = self.assignment_vector(assignment)
         features: dict[Rule, float] = {}
-        group_keys = self.mrf.group_keys
-        for potential, gid in zip(self.mrf.potentials, self.mrf.potential_groups):
+        mrf = self.mrf
+        group_keys = mrf.group_keys
+        for potential, gid, weight in zip(
+            mrf.potentials, mrf.potential_groups, mrf.potential_weights().tolist()
+        ):
             if gid < 0:
                 continue
             key = group_keys[gid]
             if not isinstance(key, Rule):
                 continue
-            weighted = potential.value(x)
+            weighted = weight * potential.unit_value(x)
             features[key] = features.get(key, 0.0) + (
-                weighted / potential.weight if potential.weight > 0 else 0.0
+                weighted / weight if weight > 0 else 0.0
             )
         return features

@@ -15,9 +15,7 @@ shard's atoms once and appends its terms via
   a shard matches the dict-based loop);
 * peak intermediate memory is **O(largest shard)** — only one shard's
   block is alive between merges — instead of O(whole program) worth of
-  per-potential dicts;
-* the shard boundaries survive into the merged MRF as term-block
-  extents, which delta patching (:mod:`repro.psl.delta`) splices by.
+  per-potential dicts.
 
 Producers of shards live next to their data: :mod:`repro.psl.program`
 shards rule groundings and raw terms; :mod:`repro.selection.collective`
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -266,7 +264,6 @@ class GroundingStats:
 def ground_shards(
     shards: Sequence[GroundingShard],
     mrf: HingeLossMRF | None = None,
-    observer: "Callable[[ShardResult], None]" | None = None,
 ) -> tuple[HingeLossMRF, GroundingStats]:
     """Build *shards* one at a time and merge them deterministically.
 
@@ -275,12 +272,6 @@ def ground_shards(
     a pre-seeded MRF (e.g. one whose target variables were interned up
     front to pin the variable order).  Only one shard block is alive
     between merges.
-
-    *observer* (when given) is called with each :class:`ShardResult`
-    right after it merges — the hook incremental grounding
-    (:mod:`repro.psl.delta`) uses to capture per-shard records (atom
-    tables, observed groups, folded constants) without a second pass.
-    The observer must not retain more than it needs.
     """
     mrf = mrf if mrf is not None else HingeLossMRF()
     stats = GroundingStats()
@@ -294,8 +285,6 @@ def ground_shards(
         before = (len(mrf.potentials), len(mrf.constraints))
         mrf.add_term_block(result.atoms, result.block)
         stats.observe(result, mrf, before)
-        if observer is not None:
-            observer(result)
     return mrf, stats
 
 
@@ -337,8 +326,8 @@ def mrf_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     payload = {
         "variables": [_atom_fingerprint(a) for a in mrf.variables],
         "potentials": [
-            [list(map(list, p.coefficients)), p.offset, p.weight, p.squared]
-            for p in mrf.potentials
+            [list(map(list, p.coefficients)), p.offset, weight, p.squared]
+            for p, weight in zip(mrf.potentials, mrf.potential_weights().tolist())
         ],
         "constraints": [
             [list(map(list, c.coefficients)), c.offset, c.equality]

@@ -36,15 +36,11 @@ slices of the shared-error owner groups, prior shards over slices of the
 candidate list.  Each shard is a small spec carrying only its slice of
 the tables, so the peak working set of a build is O(largest shard), and
 the deterministic merge reproduces the monolithic compilation byte for
-byte at any shard size.  The shard boundaries survive into the merged
-MRF as term-block extents, which delta patching
-(:mod:`repro.psl.delta`) splices by.
+byte at any shard size.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -57,16 +53,7 @@ from repro.errors import InferenceError
 
 from repro.datamodel.instance import Fact
 from repro.psl.admm import AdmmSettings, AdmmSolver, AdmmWarmState
-from repro.psl.delta import (
-    ShardRecord,
-    SpliceStats,
-    match_shards,
-    record_for,
-    shard_key,
-    splice_grounding,
-)
 from repro.psl.hlmrf import KIND_EQ, KIND_HINGE, KIND_SQUARED, HingeLossMRF
-from repro.psl.partition import compiled_term_arrays
 from repro.psl.predicate import GroundAtom, Predicate
 from repro.psl.program import PslProgram
 from repro.psl.rounding import round_solution
@@ -78,7 +65,6 @@ from repro.psl.sharding import (
     ground_shards,
     iter_slices,
 )
-from repro.psl.store import GroundingStore, StoredGrounding
 from repro.selection.exact import SelectionResult
 from repro.selection.metrics import SelectionProblem
 # objective_value stays a name of this module: perfbench's traced run
@@ -90,8 +76,8 @@ from repro.selection.objective import (
     objective_value,
 )
 
-#: The model's predicates.  Module-level so every shard, and a grounding
-#: attached from the disk store, builds atom keys that compare equal.
+#: The model's predicates.  Module-level so every shard builds atom keys
+#: that compare equal.
 IN_PREDICATE = Predicate("inMap", 1, closed=False)
 EXPLAINED_PREDICATE = Predicate("explained", 1, closed=False)
 ERROR_PREDICATE = Predicate("errorOf", 1, closed=False)
@@ -129,23 +115,6 @@ class CollectiveSettings:
     #: instead of re-grounding (results are bit-identical to the
     #: re-grounding path).  Set False to force a fresh ground per call.
     reuse_grounding: bool = True
-    #: Root directory of a cross-process disk
-    #: :class:`~repro.psl.store.GroundingStore` (``None`` → off).  With a
-    #: store set, an in-process cache miss first tries to *attach* a
-    #: spilled grounding of the same structure (mmap + reweight — see
-    #: :func:`collective_structure_key`), and a fresh ground is spilled
-    #: for the next process lifetime.  A plain string so settings stay
-    #: picklable inside engine work units.
-    grounding_store: str | None = None
-    #: Incremental (delta) grounding: when a problem carries a
-    #: :class:`~repro.selection.metrics.ProblemLineage` naming a parent
-    #: revision whose artifact is cached, a cache miss first tries to
-    #: *patch* the parent's compiled structure — re-ground only the
-    #: shards the edit touched, splice the rest
-    #: (:func:`patch_collective`) — before the disk-attach and
-    #: fresh-ground tiers.  Patched artifacts are bit-identical to a
-    #: fresh ground; set False to force the old full-re-ground behaviour.
-    incremental: bool = True
 
 
 @dataclass(frozen=True)
@@ -187,6 +156,7 @@ class CoverageShard:
 
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
+        in_atoms: dict[int, GroundAtom] = {}  # one atom per candidate
         for t_idx, support in self.entries:
             atom = GroundAtom(EXPLAINED_PREDICATE, (t_idx,))
             builder.add_potential(
@@ -194,20 +164,13 @@ class CoverageShard:
             )
             cap = [(atom, 1.0)]
             for i, degree in support:
-                cap.append((GroundAtom(IN_PREDICATE, (i,)), -degree))
+                in_atom = in_atoms.get(i)
+                if in_atom is None:
+                    in_atom = in_atoms[i] = GroundAtom(IN_PREDICATE, (i,))
+                cap.append((in_atom, -degree))
             builder.add_constraint(cap, 0.0)
         atoms, block = builder.finish()
         return ShardResult(self.order, atoms, block)
-
-    def content_key(self) -> tuple:
-        """Order- and weight-magnitude-independent identity for splicing.
-
-        Weight *magnitude* is excluded — a patched artifact has its
-        group weights rewritten at splice time — but the zero flag is
-        structural (zero-weight potentials are dropped at grounding), so
-        it stays in the key.
-        """
-        return ("cov", self.entries, self.squared, self.weight == 0)
 
 
 @dataclass(frozen=True)
@@ -238,10 +201,6 @@ class ErrorShard:
         atoms, block = builder.finish()
         return ShardResult(self.order, atoms, block)
 
-    def content_key(self) -> tuple:
-        """See :meth:`CoverageShard.content_key` — same weight treatment."""
-        return ("err", self.entries, self.squared, self.weight == 0)
-
 
 @dataclass(frozen=True)
 class PriorShard:
@@ -267,13 +226,6 @@ class PriorShard:
             )
         atoms, block = builder.finish()
         return ShardResult(self.order, atoms, block)
-
-    def content_key(self) -> tuple:
-        """Identity by candidate set only: per-candidate penalty
-        *magnitudes* are rewritten at splice time through the
-        ``member_weights`` channel (they are plain weight changes), but
-        which candidates appear is structural."""
-        return ("prior", tuple(i for i, _ in self.entries), self.squared)
 
 
 # -- shard planning -----------------------------------------------------------
@@ -413,18 +365,12 @@ def ground_collective(
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
     shard_size: int | None = None,
-    records_out: list[ShardRecord] | None = None,
 ) -> tuple[HingeLossMRF, CollectivePlan, GroundingStats]:
     """Ground *problem*'s HL-MRF through shards.
 
     *shard_size* defaults to the settings' value.  The result is
     fingerprint-identical to the monolithic ``build_program(...)[0]
     .ground()`` path for any shard size.
-
-    When *records_out* is a list, one :class:`~repro.psl.delta.
-    ShardRecord` per shard is appended in merge (spec) order — the
-    per-shard index incremental patching needs to splice unchanged
-    shards out of this MRF later.
     """
     settings = settings or CollectiveSettings()
     if shard_size is None:
@@ -433,139 +379,16 @@ def ground_collective(
     mrf = HingeLossMRF()
     for atom in plan.targets:
         mrf.variable_index(atom)
-    observer = None
-    if records_out is not None:
-        observer = lambda result: records_out.append(
-            record_for(plan.shards[result.order], result)
-        )
-    mrf, stats = ground_shards(plan.shards, mrf=mrf, observer=observer)
+    mrf, stats = ground_shards(plan.shards, mrf=mrf)
     return mrf, plan, stats
-
-
-def collective_structure_key(
-    problem: SelectionProblem,
-    settings: CollectiveSettings,
-) -> str:
-    """The content address of *problem*'s ground structure in a disk store.
-
-    Two ``(problem, settings)`` pairs share a key iff grounding them
-    yields the same HL-MRF *structure* — at which point the stored entry
-    serves both via attach + reweight.  The key therefore covers exactly
-    the structure-determining inputs and nothing weight-magnitude
-    dependent:
-
-    * the coverage entries (fact index + per-candidate support degrees)
-      and shared-error entries (fact index + owner group) — shard *size*
-      deliberately excluded, since any shard size grounds the same terms
-      in the same order;
-    * the candidates whose folded prior penalty is positive at the
-      requesting weights (``prior_included``) and the component
-      zero-pattern flags: zero-weight potentials are dropped at
-      grounding time, so a component or penalty crossing zero changes
-      structure and must change the key;
-    * the hinge form (``squared_hinges``) and the candidate count.
-
-    Computed straight from the problem tables — **no shard planning** —
-    because this key is the attach path's admission ticket: a process
-    cold start pays it before anything else, so it must stay a small
-    fraction of a fresh ground.  The entry encodings are packed into
-    int64/float64 arrays and hashed in bulk; entry order is j-fact /
-    candidate-index / repr-sorted-error-group order, a deterministic
-    function of the problem and never set- or dict-arrival order, so
-    equal structures always hash equally (content-addressing would
-    silently break otherwise).  The derivation mirrors
-    :func:`plan_collective_grounding` entry for entry — the two must
-    never drift, or stored entries would attach to the wrong structure
-    (the :meth:`GroundedCollective.can_reweight` guard and the store's
-    fingerprint verification are the backstops).
-    """
-    weights = settings.weights
-    h = hashlib.sha256()
-    h.update(b"collective-structure-v2\0")
-    h.update(
-        struct.pack(
-            "<????Q",
-            bool(settings.squared_hinges),
-            weights.explains == 0,
-            weights.errors == 0,
-            weights.size == 0,
-            problem.num_candidates,
-        )
-    )
-
-    # Coverage triples (t_idx, candidate, degree), ordered by fact then
-    # candidate index — the same entries a CoverageShard would carry.
-    # Cover-table keys are (in practice) the very j_fact objects, so an
-    # id()-based position map avoids hashing every Fact's value tree; a
-    # by-value map is built lazily for equal-but-distinct objects, and
-    # both resolve to the same index, so the digest never depends on
-    # which path found it.
-    t_pos = {id(t): idx for idx, t in enumerate(problem.j_facts)}
-    by_value: dict[Fact, int] | None = None
-    sup_t: list[int] = []
-    sup_i: list[int] = []
-    sup_d: list[float] = []
-    pos_get = t_pos.get
-    push_t, push_i, push_d = sup_t.append, sup_i.append, sup_d.append
-    for i, table in enumerate(problem.covers):
-        for t, degree in table.items():
-            idx = pos_get(id(t))
-            if idx is None:
-                if by_value is None:
-                    by_value = {t: j for j, t in enumerate(problem.j_facts)}
-                idx = by_value[t]
-            push_t(idx)
-            push_i(i)
-            push_d(
-                degree.numerator / degree.denominator
-                if isinstance(degree, Fraction)
-                else float(degree)
-            )
-    t_arr = np.asarray(sup_t, dtype=np.int64)
-    i_arr = np.asarray(sup_i, dtype=np.int64)
-    d_arr = np.asarray(sup_d, dtype=np.float64)
-    order = np.lexsort((i_arr, t_arr))
-    h.update(t_arr[order].tobytes())
-    h.update(i_arr[order].tobytes())
-    h.update(d_arr[order].tobytes())
-
-    # Shared-error entries (e_idx, owners) in the planner's repr-sorted
-    # group order; private errors only move the folded prior below.
-    owners: dict[Fact, list[int]] = {}
-    for i, facts in enumerate(problem.error_facts):
-        for f in facts:
-            owners.setdefault(f, []).append(i)
-    private_error_counts = [0] * problem.num_candidates
-    shared_enc: list[int] = []
-    for e_idx, (f, who) in enumerate(sorted(owners.items(), key=lambda kv: repr(kv[0]))):
-        if len(who) == 1:
-            private_error_counts[who[0]] += 1
-        else:
-            shared_enc.extend((e_idx, len(who)))
-            shared_enc.extend(who)
-    h.update(np.asarray(shared_enc, dtype=np.int64).tobytes())
-
-    # The prior inclusion pattern at the requesting weights, computed by
-    # the exact planning-time expression (Fractions, then float > 0).
-    included = [
-        i
-        for i in range(problem.num_candidates)
-        if float(
-            weights.errors * private_error_counts[i]
-            + weights.size * int(problem.sizes[i])
-        )
-        > 0
-    ]
-    h.update(np.asarray(included, dtype=np.int64).tobytes())
-    return h.hexdigest()
 
 
 class GroundedCollective:
     """One selection problem's compiled HL-MRF, with mutable weights.
 
     The ground-once/reweight-many artifact of the collective selector:
-    structure (variables, coefficients, constraints, shard partition) is
-    fixed at construction; :meth:`reweight` rewrites the per-term
+    structure (variables, coefficients, constraints) is fixed at
+    construction; :meth:`reweight` rewrites the per-term
     weights in place for a new :class:`ObjectiveWeights` — coverage and
     error-mediator groups uniformly, per-candidate priors through the
     recorded plan components — and :attr:`solver` reuses one compiled
@@ -587,164 +410,12 @@ class GroundedCollective:
     ):
         settings = settings or CollectiveSettings()
         self.problem = problem
-        self.squared = bool(settings.squared_hinges)
-        records: list[ShardRecord] = []
         self.mrf, self.plan, self.stats = ground_collective(
-            problem, settings, shard_size=shard_size, records_out=records
+            problem, settings, shard_size=shard_size
         )
-        #: Per-shard splice index (same order as ``plan.shards``), the
-        #: input :func:`patch_collective` matches a successor problem's
-        #: plan against.  ``None`` on attached artifacts until
-        #: :meth:`_ensure_records` reconstructs it.
-        self.records: tuple[ShardRecord, ...] | None = tuple(records)
-        self.splice_stats: SpliceStats | None = None
-        # Pre-compile the flat arrays while the ground is hot: the ADMM
-        # solver wants them anyway, and a later patch slices straight
-        # from them instead of recompiling the whole artifact first.
-        compiled_term_arrays(self.mrf)
         self.weights = settings.weights
         self._admm = settings.admm
         self._solver: AdmmSolver | None = None
-
-    @classmethod
-    def from_store(
-        cls,
-        problem: SelectionProblem,
-        settings: CollectiveSettings,
-        stored: StoredGrounding,
-    ) -> GroundedCollective:
-        """Attach a spilled grounding as a solve-ready artifact (no ground).
-
-        *stored* must have been spilled under
-        :func:`collective_structure_key` for a structure-equal
-        ``(problem, settings)`` — the key guarantees the zero patterns
-        agree, so the usual :meth:`reweight` to ``settings.weights``
-        (the caller's next step) is exact.  No shard planning runs: the
-        attach-side plan is reconstructed from the rebuilt MRF's
-        variable registry (the atom dicts) and the entry's extra payload
-        (the writer's :meth:`store_extra` — prior components/inclusion
-        for the reweight guard), leaving ``shards`` empty since nothing
-        will be ground.  ``weights`` starts as the *grounding-time*
-        weights the writer recorded, keeping the :meth:`can_reweight`
-        guard honest about what the stored term weights actually are.
-        ``stats`` is ``None``: nothing was ground, so there are no
-        grounding-pass peaks to report.  Raises
-        :class:`~repro.errors.InferenceError` when the extra payload
-        lacks the reweight registry (an entry spilled by something other
-        than the collective disk tier) — callers fall back to a fresh
-        ground.
-        """
-        extra = stored.extra if isinstance(stored.extra, dict) else {}
-        try:
-            prior_components = tuple(
-                (int(i), int(private), int(size))
-                for i, private, size in extra["prior_components"]
-            )
-            prior_included = tuple(int(i) for i in extra["prior_included"])
-            grounding_weights = extra["weights"]
-        except (KeyError, TypeError, ValueError):
-            raise InferenceError(
-                "stored grounding lacks the collective reweight registry "
-                "(prior components / grounding weights); re-ground instead"
-            ) from None
-        mrf = stored.mrf
-        in_atoms: dict[int, GroundAtom] = {}
-        explained_atoms: dict[int, GroundAtom] = {}
-        error_atoms: dict[int, GroundAtom] = {}
-        tables = {
-            IN_PREDICATE.name: in_atoms,
-            EXPLAINED_PREDICATE.name: explained_atoms,
-            ERROR_PREDICATE.name: error_atoms,
-        }
-        for atom in mrf.variables:
-            table = tables.get(atom.predicate.name)
-            if table is not None:
-                table[atom.arguments[0]] = atom
-        self = cls.__new__(cls)
-        self.problem = problem
-        self.squared = bool(settings.squared_hinges)
-        self.mrf = mrf
-        self.plan = CollectivePlan(
-            in_atoms=in_atoms,
-            explained_atoms=explained_atoms,
-            error_atoms=error_atoms,
-            targets=tuple(mrf.variables),
-            shards=(),
-            prior_components=prior_components,
-            prior_included=prior_included,
-        )
-        self.stats = None
-        self.records = None
-        self.splice_stats = None
-        self.weights = grounding_weights
-        self._admm = settings.admm
-        self._solver = None
-        return self
-
-    def store_extra(self) -> dict:
-        """The extra payload a disk-store spill of this artifact needs.
-
-        Everything :meth:`from_store` cannot recover from the flat
-        arrays: the grounding-time weights (the :meth:`can_reweight`
-        baseline) and the plan's prior components/inclusion (the
-        per-candidate reweight registry).
-        """
-        return {
-            "weights": self.weights,
-            "prior_components": self.plan.prior_components,
-            "prior_included": self.plan.prior_included,
-        }
-
-    def _ensure_records(self, shard_size: int | None) -> bool:
-        """Make :attr:`records` available, reconstructing if attached.
-
-        Freshly ground artifacts record their splice index at ground
-        time; a disk-attached artifact has an MRF (with its per-shard
-        ``_block_extents``) but no shard list.  Re-planning the problem
-        at the *grounding-time* weights recovers the shard specs; each
-        spec's expected potential/constraint counts are checked against
-        the recorded extent, so a plan that drifted from the stored
-        structure is detected and the patch declined (return ``False``
-        → caller falls back) rather than splicing the wrong ranges.
-        ``atoms`` is ``None`` on reconstructed records: every collective
-        shard atom is a plan target, pre-interned before any merge.
-        """
-        if self.records is not None:
-            return True
-        mrf = self.mrf
-        extents = getattr(mrf, "_block_extents", None)
-        if not extents or mrf.constant_energy != 0.0:
-            return False
-        plan = plan_collective_grounding(
-            self.problem,
-            CollectiveSettings(weights=self.weights, squared_hinges=self.squared),
-            shard_size,
-        )
-        if len(plan.shards) != len(extents):
-            return False
-        records: list[ShardRecord] = []
-        for shard, (pot_lo, pot_hi, con_lo, con_hi) in zip(plan.shards, extents):
-            if isinstance(shard, CoverageShard):
-                expected_pot = 0 if shard.weight == 0 else len(shard.entries)
-                expected_con = len(shard.entries)
-                groups = ((GROUP_EXPLAINS, shard.weight == 0),)
-            elif isinstance(shard, ErrorShard):
-                expected_pot = 0 if shard.weight == 0 else len(shard.entries)
-                expected_con = sum(len(owners) for _, owners in shard.entries)
-                groups = ((GROUP_ERRORS, shard.weight == 0),)
-            elif isinstance(shard, PriorShard):
-                expected_pot = len(shard.entries)
-                expected_con = 0
-                groups = ((GROUP_PRIOR, False),)
-            else:  # pragma: no cover - planner emits only the three kinds
-                return False
-            if pot_hi - pot_lo != expected_pot or con_hi - con_lo != expected_con:
-                return False
-            records.append(
-                ShardRecord(key=shard_key(shard), atoms=None, observed_groups=groups)
-            )
-        self.records = tuple(records)
-        return True
 
     @property
     def solver(self) -> AdmmSolver:
@@ -804,137 +475,35 @@ class GroundedCollective:
         self.weights = weights
 
 
-def patch_collective(
-    cached: GroundedCollective,
-    problem: SelectionProblem,
-    settings: CollectiveSettings | None = None,
-    shard_size: int | None = None,
-) -> GroundedCollective | None:
-    """Patch *cached* (a parent revision's artifact) into *problem*'s.
-
-    The incremental tier of the collective path: plan the new problem,
-    pair its shards against the cached per-shard records by content key
-    (:func:`~repro.psl.delta.match_shards` — weight magnitudes are
-    normalized out of the keys, so a reweighted parent still matches),
-    re-ground only the unmatched shards, and splice.  The weight rewrite
-    happens inside the splice — coverage/error groups uniformly, prior
-    penalties per member — so the result lands directly at
-    ``settings.weights`` and is **bit-identical** to a fresh ground of
-    ``(problem, settings)``.
-
-    Returns ``None`` when patching is not exact — hinge form changed,
-    records unavailable, a zero pattern moved, the splice declined — in
-    which case the caller grounds fresh.  Never returns a wrong
-    artifact.
-    """
-    settings = settings or CollectiveSettings()
-    if shard_size is None:
-        shard_size = settings.ground_shard_size
-    if bool(settings.squared_hinges) != cached.squared:
-        return None
-    if not cached._ensure_records(shard_size):
-        return None
-    plan = plan_collective_grounding(problem, settings, shard_size)
-    reuse = match_shards(cached.records, plan.shards)
-    prior_penalties = [
-        penalty
-        for shard in plan.shards
-        if isinstance(shard, PriorShard)
-        for _, penalty in shard.entries
-    ]
-    weights = settings.weights
-    result = splice_grounding(
-        cached.mrf,
-        cached.records,
-        plan.shards,
-        reuse,
-        plan.targets,
-        group_weights={
-            GROUP_EXPLAINS: float(weights.explains),
-            GROUP_ERRORS: float(weights.errors),
-        },
-        member_weights={GROUP_PRIOR: prior_penalties},
-    )
-    if result is None:
-        return None
-    patched = GroundedCollective.__new__(GroundedCollective)
-    patched.problem = problem
-    patched.squared = cached.squared
-    patched.mrf = result.mrf
-    patched.plan = plan
-    patched.stats = None
-    patched.records = result.records
-    patched.splice_stats = result.stats
-    patched.weights = weights
-    patched._admm = settings.admm
-    patched._solver = None
-    return patched
-
-
 class CollectiveGroundingCache:
     """A small per-process LRU of :class:`GroundedCollective` artifacts.
 
     Keyed by problem identity plus the structure-affecting settings
     (squared hinges, grounding shard size) — *not* by weights: a hit
     whose weights differ only reweights the cached artifact in place.
-    An in-memory miss falls through two tiers before grounding fresh,
-    in order **patch > disk attach > fresh ground**:
-
-    1. *Patch* (``settings.incremental``): when the problem carries a
-       :class:`~repro.selection.metrics.ProblemLineage` whose parent
-       revision is cached (tracked by lineage token), the parent's
-       compiled structure is spliced into the new problem's — only the
-       shards the edit touched re-ground (:func:`patch_collective`).
-       Patched artifacts are also spilled to the disk store under the
-       *new* structure key, so future process lifetimes attach them.
-    2. *Disk attach* (``settings.grounding_store``): mmap a spilled
-       grounding of the same content-addressed structure and reweight
-       (see :meth:`_attach_or_ground`); fresh grounds are spilled for
-       future process lifetimes.
-    Entries whose zero pattern no longer matches are evicted and
-    re-ground.  The thread id is part of the key so concurrent solves
-    from different threads never share (and mid-solve reweight) one
-    artifact; entries hold strong problem references, making identity
-    keys collision-safe, and the LRU bound keeps the footprint at a few
-    problems' worth of structure per process.
+    Anything else — a miss, or a hit whose zero pattern no longer
+    matches — grounds fresh.  The thread id is part of the key so
+    concurrent solves from different threads never share (and
+    mid-solve reweight) one artifact; entries hold strong problem
+    references, making identity keys collision-safe, and the LRU bound
+    keeps the footprint at a few problems' worth of structure per
+    process.
 
     Thread-safe: a lock guards the map itself.  Entries own no OS
     resources, so eviction just drops them; an evicted entry another
     thread is still solving on lives until that thread lets go of it.
     """
 
+    # Always 0 (no patch or disk tier); perfbench's traced run reads them.
+    patch_hits = 0
+    disk_hits = 0
+
     def __init__(self, capacity: int = 4):
         self.capacity = capacity
         self._entries: OrderedDict[tuple, GroundedCollective] = OrderedDict()
-        #: Lineage token -> cache key, per thread: the index the patch
-        #: tier uses to find a *parent revision's* entry from a child
-        #: problem's ``lineage.parent`` token.  Bounded FIFO; a stale
-        #: mapping (entry evicted or replaced) is re-validated against
-        #: the entry's own lineage before patching.
-        self._token_keys: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: Disk-tier traffic (only moves when a grounding store is set):
-        #: ``disk_hits`` counts in-memory misses served by attaching a
-        #: spilled entry; ``disk_misses`` counts fresh grounds that were
-        #: spilled for the next process lifetime.
-        self.disk_hits = 0
-        self.disk_misses = 0
-        #: In-memory misses served by the patch tier: the parent
-        #: revision's artifact was spliced instead of re-grounding.
-        self.patch_hits = 0
-
-    #: Lineage-token index bound (entries are 2-tuples; tiny).
-    TOKEN_KEY_LIMIT = 256
-
-    def _remember_token(self, me: int, token: object, key: tuple) -> None:
-        # Caller holds the lock.  Most-recent mapping wins.
-        tk = (me, token)
-        self._token_keys.pop(tk, None)
-        self._token_keys[tk] = key
-        while len(self._token_keys) > self.TOKEN_KEY_LIMIT:
-            self._token_keys.popitem(last=False)
 
     def grounded(
         self,
@@ -946,9 +515,12 @@ class CollectiveGroundingCache:
         settings = settings or CollectiveSettings()
         if shard_size is None:
             shard_size = settings.ground_shard_size
-        me = threading.get_ident()
-        key = (me, id(problem), bool(settings.squared_hinges), shard_size)
-        lineage = getattr(problem, "lineage", None)
+        key = (
+            threading.get_ident(),
+            id(problem),
+            bool(settings.squared_hinges),
+            shard_size,
+        )
         with self._lock:
             entry = self._entries.get(key)
             if (
@@ -958,8 +530,6 @@ class CollectiveGroundingCache:
             ):
                 self._entries.move_to_end(key)
                 self.hits += 1
-                if lineage is not None:
-                    self._remember_token(me, lineage.token, key)
             else:
                 if entry is not None:
                     self._entries.pop(key)
@@ -969,118 +539,21 @@ class CollectiveGroundingCache:
             # thread id is in its key), so no other thread can touch it.
             entry.reweight(settings.weights)
             return entry
-        fresh = self._try_patch(problem, settings, shard_size, me, lineage)
-        patched = fresh is not None
-        if fresh is None:
-            fresh = self._attach_or_ground(problem, settings, shard_size)
-        with self._lock:
-            self.misses += 1
-            if patched:
-                self.patch_hits += 1
-            self._entries[key] = fresh
-            if lineage is not None:
-                self._remember_token(me, lineage.token, key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return fresh
-
-    def _try_patch(
-        self,
-        problem: SelectionProblem,
-        settings: CollectiveSettings,
-        shard_size: int | None,
-        me: int,
-        lineage,
-    ) -> GroundedCollective | None:
-        """The patch tier: splice a cached parent revision, or ``None``.
-
-        Runs before the disk tier on every in-memory miss.  Applies only
-        when incremental grounding is on and the problem's lineage names
-        a parent whose artifact this thread still holds (looked up by
-        lineage token, re-validated against the entry's own lineage so a
-        stale token mapping can never patch from the wrong problem).
-        On success the patched artifact is also spilled to the disk
-        store under the **new** structure key — the next process
-        lifetime attaches the patched structure directly.
-        """
-        if not settings.incremental or lineage is None or lineage.parent is None:
-            return None
-        with self._lock:
-            parent_key = self._token_keys.get((me, lineage.parent))
-            parent = (
-                self._entries.get(parent_key) if parent_key is not None else None
-            )
-        if parent is None or parent_key[3] != shard_size:
-            return None
-        parent_lineage = getattr(parent.problem, "lineage", None)
-        if parent_lineage is None or parent_lineage.token != lineage.parent:
-            return None
-        patched = patch_collective(parent, problem, settings, shard_size=shard_size)
-        if patched is not None and settings.grounding_store:
-            store = GroundingStore(settings.grounding_store)
-            store.put(
-                collective_structure_key(problem, settings),
-                patched.mrf,
-                extra=patched.store_extra(),
-            )
-        return patched
-
-    def _attach_or_ground(
-        self,
-        problem: SelectionProblem,
-        settings: CollectiveSettings,
-        shard_size: int | None,
-    ) -> GroundedCollective:
-        """The disk tier below the in-memory LRU (runs outside the lock).
-
-        With a grounding store configured, try to *attach* a spilled
-        entry of the same structure (mmap + reweight — no grounding);
-        on a store miss ground fresh and spill it so the next process
-        lifetime attaches instead.  Store trouble of any kind (corrupt
-        entry, version skew, unwritable directory, a stored zero-pattern
-        that will not reweight) silently degrades to the fresh-ground
-        path — persistence is an optimization, never load-bearing.
-        """
-        store = (
-            GroundingStore(settings.grounding_store)
-            if settings.grounding_store
-            else None
-        )
-        key = None
-        if store is not None:
-            # No planning on this path: the key is computed straight
-            # from the problem tables, and an attach reconstructs its
-            # plan from the rebuilt MRF — a cold start pays mmap +
-            # registry rebuild, never a re-ground's term construction.
-            key = collective_structure_key(problem, settings)
-            stored = store.load(key)
-            if stored is not None:
-                try:
-                    attached = GroundedCollective.from_store(
-                        problem, settings, stored
-                    )
-                    attached.reweight(settings.weights)
-                except InferenceError:
-                    pass  # foreign/stale extra or zero-pattern skew: re-ground
-                else:
-                    self.disk_hits += 1
-                    return attached
         fresh = GroundedCollective(  # ground outside the lock, it is slow
             problem, settings, shard_size=shard_size
         )
-        if store is not None and key is not None:
-            self.disk_misses += 1
-            store.put(key, fresh.mrf, extra=fresh.store_extra())
+        with self._lock:
+            self.misses += 1
+            self._entries[key] = fresh
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
         return fresh
 
     def clear(self) -> None:
         """Drop every cached artifact and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._token_keys.clear()
             self.hits = self.misses = 0
-            self.disk_hits = self.disk_misses = 0
-            self.patch_hits = 0
 
 
 #: Per-process artifact cache consumed by :func:`solve_collective` when

@@ -27,8 +27,6 @@ exactly what a from-scratch build would produce.
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -40,35 +38,6 @@ from repro.errors import SelectionError
 from repro.homomorphism.covers import CoverComputer, creates, repr_order
 from repro.homomorphism.search import FactIndex
 from repro.mappings.tgd import StTgd
-
-
-@dataclass(frozen=True)
-class ProblemLineage:
-    """Revision identity linking a problem to the one it was edited from.
-
-    ``token`` names *this* revision; ``parent`` the revision this
-    problem was derived from by a small edit (``None`` for a chain
-    root).  Consumed by the incremental grounding tier
-    (:class:`~repro.selection.collective.CollectiveGroundingCache`): a
-    cache miss on a problem whose parent's artifact is still cached
-    *patches* that artifact — re-grounds only the shards the edit
-    touched — instead of grounding from scratch.  Tokens are opaque and
-    only compared for equality; :func:`next_lineage` mints
-    process-unique ones.
-    """
-
-    token: object
-    parent: object | None = None
-
-
-#: Process-wide revision counter behind :func:`next_lineage`.
-_LINEAGE_COUNTER = itertools.count()
-
-
-def next_lineage(parent: ProblemLineage | None = None) -> ProblemLineage:
-    """A fresh lineage whose parent is *parent*'s token (if any)."""
-    token = ("lineage", os.getpid(), next(_LINEAGE_COUNTER))
-    return ProblemLineage(token=token, parent=None if parent is None else parent.token)
 
 
 @dataclass
@@ -84,9 +53,6 @@ class SelectionProblem:
         error_facts: per candidate, the chase facts flagged as errors.
         sizes: per candidate, the paper's size measure.
         chase_by_candidate: per candidate, its canonical chase instance.
-        lineage: optional revision identity for incremental grounding
-            (``None`` on problems built outside an edit chain — e.g.
-            unpickled engine payloads from older cache formats).
     """
 
     candidates: list[StTgd]
@@ -97,7 +63,6 @@ class SelectionProblem:
     error_facts: list[frozenset[Fact]]
     sizes: list[int]
     chase_by_candidate: list[Instance] = field(default_factory=list)
-    lineage: ProblemLineage | None = None
 
     @property
     def num_candidates(self) -> int:

@@ -198,90 +198,6 @@ class TestRPL002Determinism:
         )
         assert hits == []
 
-    def test_directory_listing_iteration_is_flagged(self):
-        # The grounding store's spill paths must iterate in fingerprint
-        # order, never filesystem order (content-addressing breaks).
-        hits = rules_hit(
-            {
-                "repro/psl/fake_store.py": src(
-                    """
-                    def read_arrays(root):
-                        out = {}
-                        for path in root.iterdir():
-                            out[path.name] = path.read_bytes()
-                        return out
-                    """
-                )
-            },
-            "RPL002",
-        )
-        assert len(hits) == 1 and "filesystem order" in hits[0].message
-
-    def test_os_listdir_comprehension_is_flagged(self):
-        hits = rules_hit(
-            {
-                "repro/psl/fake_store.py": src(
-                    """
-                    import os
-
-                    def entry_names(root):
-                        return [name for name in os.listdir(root)]
-                    """
-                )
-            },
-            "RPL002",
-        )
-        assert len(hits) == 1 and "filesystem order" in hits[0].message
-
-    def test_glob_iteration_is_flagged(self):
-        hits = rules_hit(
-            {
-                "repro/psl/fake_store.py": src(
-                    """
-                    def payloads(entry):
-                        for path in entry.glob("*.npy"):
-                            yield path
-                    """
-                )
-            },
-            "RPL002",
-        )
-        assert len(hits) == 1
-
-    def test_sorted_listing_is_clean(self):
-        hits = rules_hit(
-            {
-                "repro/psl/fake_store.py": src(
-                    """
-                    import os
-
-                    def keys(root):
-                        ordered = [n for n in sorted(os.listdir(root))]
-                        for child in sorted(root.iterdir()):
-                            ordered.append(child.name)
-                        return ordered
-                    """
-                )
-            },
-            "RPL002",
-        )
-        assert hits == []
-
-    def test_listing_reduction_is_clean(self):
-        # Order-insensitive reductions over a listing are fine.
-        hits = rules_hit(
-            {
-                "repro/psl/fake_store.py": src(
-                    """
-                    def entry_bytes(entry):
-                        return sum(p.stat().st_size for p in entry.iterdir())
-                    """
-                )
-            },
-            "RPL002",
-        )
-        assert hits == []
-
     def test_out_of_scope_module_is_clean(self):
         hits = rules_hit(
             {

@@ -334,24 +334,6 @@ def test_wrong_format_version_problem_pickle_is_stale(tmp_path):
     assert problem.num_candidates > 0
 
 
-def test_cache_dir_enables_sibling_grounding_store(tmp_path):
-    from repro.psl.store import GroundingStore
-
-    engine = EvaluationEngine(
-        methods=("collective",), warm_start=False, cache_dir=tmp_path
-    )
-    assert engine.grounding_store == str(tmp_path / "groundings")
-    assert engine.collective_settings is not None
-    assert engine.collective_settings.grounding_store == engine.grounding_store
-    a = engine.run_grid([SMALL])
-    assert len(GroundingStore(tmp_path / "groundings").keys()) == 1
-    # Results from the store-backed path match the storeless one.
-    b = EvaluationEngine(methods=("collective",), warm_start=False).run_grid([SMALL])
-    assert [(c.run.selected, c.run.objective) for c in a.cells] == [
-        (c.run.selected, c.run.objective) for c in b.cells
-    ]
-
-
 def test_engine_threads_ground_options_into_collective():
     plain = EvaluationEngine(methods=("collective",), warm_start=False)
     sharded = EvaluationEngine(

@@ -21,7 +21,6 @@ from repro.ibench.mutations import (
     MutableSelection,
     RemoveSourceTuple,
     RemoveTargetTuple,
-    mutation_chain,
 )
 from repro.selection.metrics import build_selection_problem, problem_fingerprint
 
@@ -43,8 +42,6 @@ def _assert_matches_scratch(chain: MutableSelection) -> None:
 def test_base_problem_matches_scratch(example):
     chain = _chain(example)
     _assert_matches_scratch(chain)
-    assert chain.problem.lineage is not None
-    assert chain.problem.lineage.parent is None
     assert chain.rechased_candidates == 0
 
 
@@ -141,20 +138,3 @@ def test_invalid_edits_raise(example):
     # Failed edits must not have changed the problem.
     _assert_matches_scratch(chain)
 
-
-def test_mutation_chain_yields_lineage_linked_revisions(example):
-    fact = sorted(example.target, key=repr)[-1]
-    revisions = list(
-        mutation_chain(
-            example.source,
-            example.target,
-            example.candidates,
-            [RemoveTargetTuple(fact), AddTargetTuple(fact)],
-        )
-    )
-    assert len(revisions) == 3
-    assert revisions[0][0] is None
-    assert revisions[0][1].lineage.parent is None
-    for (_, parent), (edit, child) in zip(revisions, revisions[1:]):
-        assert edit is not None
-        assert child.lineage.parent == parent.lineage.token

@@ -100,8 +100,8 @@ def _lp_reference(mrf: HingeLossMRF) -> float:
     m = len(mrf.potentials)
     c = np.zeros(n + m)
     a_ub, b_ub = [], []
-    for k, p in enumerate(mrf.potentials):
-        c[n + k] = p.weight
+    for k, (p, weight) in enumerate(zip(mrf.potentials, mrf.potential_weights())):
+        c[n + k] = weight
         row = np.zeros(n + m)
         for i, coeff in p.coefficients:
             row[i] = coeff

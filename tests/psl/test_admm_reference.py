@@ -5,7 +5,7 @@ monolithic term array, boolean kind masks recomputed every iteration).
 The contract under test: the solver produces the *identical* run — same
 iterates, same iteration count, same residuals, same energy, same dual
 state — on fingerprint-verified collective problems and on random MRFs
-alike, cold, warm, reweighted and store-attached.  Not approximately:
+alike, cold, warm and reweighted.  Not approximately:
 bit for bit.
 """
 
@@ -21,12 +21,10 @@ from repro.psl.admm import AdmmResult, AdmmSettings, AdmmSolver, AdmmWarmState
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import mrf_fingerprint
-from repro.psl.store import GroundingStore
 from repro.selection.collective import (
     CollectiveSettings,
     GroundedCollective,
     build_program,
-    collective_structure_key,
     ground_collective,
 )
 from repro.selection.metrics import build_selection_problem
@@ -50,9 +48,10 @@ class _ReferenceFlatSolver:
 
     def _build_arrays(self):
         mrf = self._mrf
+        # Weights live in the MRF's weight vector, not on the potentials.
         terms = [
-            (_KIND_SQUARED if p.squared else _KIND_HINGE, p.coefficients, p.offset, p.weight)
-            for p in mrf.potentials
+            (_KIND_SQUARED if p.squared else _KIND_HINGE, p.coefficients, p.offset, w)
+            for p, w in zip(mrf.potentials, mrf.potential_weights().tolist())
         ] + [
             (_KIND_EQ if c.equality else _KIND_LEQ, c.coefficients, c.offset, 0.0)
             for c in mrf.constraints
@@ -270,37 +269,6 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve():
             problem, CollectiveSettings(weights=weights), shard_size=8
         )
         assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh_mrf)
-        reference = _ReferenceFlatSolver(fresh_mrf, settings).solve()
-        _assert_identical_run(resolved, reference)
-
-
-def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(tmp_path):
-    # The disk-store acceptance contract, measured against the frozen
-    # reference solver: attaching a spilled grounding (mmap) and
-    # reweighting it must reproduce — bit for bit — the run of a solver
-    # built on a *fresh* grounding at the new weights, with no grounding
-    # work on the attach path.
-    problem = _collective_problem()
-    base = CollectiveSettings()
-    writer = GroundedCollective(problem, base, shard_size=8)
-    store = GroundingStore(tmp_path)
-    key = collective_structure_key(problem, base)
-    assert store.put(key, writer.mrf, extra=writer.store_extra())
-
-    stored = store.load(key)
-    assert stored is not None
-    attached = GroundedCollective.from_store(problem, base, stored)
-    assert attached.stats is None  # attached, not ground
-    settings = AdmmSettings(max_iterations=40, check_every=5)
-    solver = AdmmSolver(attached.mrf, settings)
-    for triple in (("1", "1", "1"), ("2", "1", "1/2"), ("1/3", "5", "1")):
-        weights = ObjectiveWeights(*(Fraction(w) for w in triple))
-        attached.reweight(weights)
-        resolved = solver.solve()
-        fresh_mrf, _, _ = ground_collective(
-            problem, CollectiveSettings(weights=weights), shard_size=8
-        )
-        assert mrf_fingerprint(attached.mrf) == mrf_fingerprint(fresh_mrf)
         reference = _ReferenceFlatSolver(fresh_mrf, settings).solve()
         _assert_identical_run(resolved, reference)
 

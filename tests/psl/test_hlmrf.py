@@ -25,11 +25,17 @@ def test_index_of_unknown_atom_raises():
 
 
 def test_potential_value_linear_and_squared():
-    linear = HingePotential(((0, 1.0),), -0.25, weight=2.0)
-    assert linear.value([0.75]) == pytest.approx(1.0)
-    assert linear.value([0.0]) == 0.0
-    squared = HingePotential(((0, 1.0),), -0.25, weight=2.0, squared=True)
-    assert squared.value([0.75]) == pytest.approx(0.5)
+    # A potential holds the hinge; its weight lives in the MRF's vector.
+    linear = HingePotential(((0, 1.0),), -0.25)
+    assert linear.unit_value([0.75]) == pytest.approx(0.5)
+    assert linear.unit_value([0.0]) == 0.0
+    squared = HingePotential(((0, 1.0),), -0.25, squared=True)
+    assert squared.unit_value([0.75]) == pytest.approx(0.25)
+    for is_squared, expected in ((False, 1.0), (True, 0.5)):
+        mrf = HingeLossMRF()
+        mrf.add_potential({X(0): 1.0}, -0.25, weight=2.0, squared=is_squared)
+        assert mrf.energy([0.75]) == pytest.approx(expected)
+        assert mrf.energy([0.0]) == 0.0
 
 
 def test_zero_weight_potentials_skipped():

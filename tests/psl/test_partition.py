@@ -2,8 +2,8 @@
 
 The contract: an MRF compiles into one set of CSR arrays over the flat
 potentials-then-constraints term order, compiled once and shared by the
-solver and :meth:`~repro.psl.hlmrf.HingeLossMRF.energy`; grounding still
-records each shard's extent in the MRF (delta patching splices by it).
+solver and :meth:`~repro.psl.hlmrf.HingeLossMRF.energy`, with the
+potential weights read from the MRF's weight vector.
 """
 
 import numpy as np
@@ -17,9 +17,6 @@ from repro.psl.partition import (
 )
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder
-from repro.selection.collective import CollectiveSettings, ground_collective
-from repro.selection.metrics import build_selection_problem
-from repro.examples_data import paper_example
 
 X = Predicate("x", 1, closed=False)
 
@@ -48,7 +45,6 @@ def _block_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> HingeLoss
 
 def test_legacy_mrf_partitions_as_single_run():
     mrf = _legacy_mrf()
-    assert mrf._block_extents == []
     flat = compile_term_arrays(mrf)
     assert flat.num_terms == 4
     assert flat.num_potentials == 2
@@ -57,20 +53,20 @@ def test_legacy_mrf_partitions_as_single_run():
 
 def test_empty_mrf_has_no_blocks():
     mrf = HingeLossMRF()
-    assert mrf._block_extents == []
     flat = compile_term_arrays(mrf)
     assert flat.num_terms == 0
     assert flat.num_copies == 0
 
 
-def test_block_built_mrf_records_extents_per_shard():
+def test_block_built_mrf_compiles_weights_from_the_weight_vector():
     mrf = _block_built_mrf(num_blocks=3, terms_per_block=4)
-    # One (pot_lo, pot_hi, con_lo, con_hi) extent per add_term_block.
-    assert mrf._block_extents == [(0, 4, 0, 4), (4, 8, 4, 8), (8, 12, 8, 12)]
     flat = compile_term_arrays(mrf)
     # Flat order is all potentials, then all constraints.
     assert list(flat.weight[:12]) == [1.0] * 4 + [2.0] * 4 + [3.0] * 4
     assert not flat.weight[12:].any()
+    # A reweight is only a write to the vector; a recompile reads it.
+    mrf.set_potential_weights([0.5] * 12)
+    assert list(compile_term_arrays(mrf).weight[:12]) == [0.5] * 12
 
 
 def test_partition_degree_counts_every_copy():
@@ -80,22 +76,6 @@ def test_partition_degree_counts_every_copy():
         np.bincount(flat.var, minlength=mrf.num_variables).astype(float), 1.0
     )
     assert np.array_equal(flat.degree, degree)
-
-
-def test_collective_grounding_blocks_survive_into_partition():
-    ex = paper_example(extra_projects=3)
-    problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    mrf, _, stats = ground_collective(
-        problem, CollectiveSettings(), shard_size=4
-    )
-    assert stats.num_shards > 1
-    assert len(mrf._block_extents) == stats.num_shards
-    # The extents tile the potential and constraint lists in order.
-    pot = con = 0
-    for pot_lo, pot_hi, con_lo, con_hi in mrf._block_extents:
-        assert (pot_lo, con_lo) == (pot, con)
-        pot, con = pot_hi, con_hi
-    assert (pot, con) == (len(mrf.potentials), len(mrf.constraints))
 
 
 def test_kind_index_precompiles_the_kind_masks():

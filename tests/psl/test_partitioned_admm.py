@@ -6,7 +6,7 @@ size and builds them one after another before the merge.  The contract
 under test: for ANY shard size, solving the merged MRF reproduces — bit
 for bit — the run of
 ``_ReferenceFlatSolver`` (see ``test_admm_reference.py``) on the MRF
-built in one piece, cold, truncated, reweighted and store-attached.
+built in one piece, cold, truncated and reweighted.
 """
 
 from dataclasses import dataclass
@@ -25,12 +25,10 @@ from repro.psl.sharding import (
     iter_slices,
     mrf_fingerprint,
 )
-from repro.psl.store import GroundingStore
 from repro.selection.collective import (
     CollectiveSettings,
     GroundedCollective,
     build_program,
-    collective_structure_key,
     ground_collective,
     solve_collective,
 )
@@ -50,14 +48,14 @@ class _TermShard:
     """A grounding work unit re-emitting a slice of an MRF's terms."""
 
     order: int
-    potentials: tuple
+    potentials: tuple  # (HingePotential, weight) pairs
     constraints: tuple
 
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
-        for p in self.potentials:
+        for p, weight in self.potentials:
             pairs = [(X(i), c) for i, c in p.coefficients]
-            builder.add_potential(pairs, p.offset, p.weight, squared=p.squared)
+            builder.add_potential(pairs, p.offset, weight, squared=p.squared)
         for c in self.constraints:
             pairs = [(X(i), a) for i, a in c.coefficients]
             builder.add_constraint(pairs, c.offset, equality=c.equality)
@@ -72,8 +70,9 @@ def _reground_in_shards(mrf: HingeLossMRF, shard_size: int | None) -> HingeLossM
     term order; the variables are interned up front to pin their order.
     """
     shards: list[_TermShard] = []
-    for lo, hi in iter_slices(len(mrf.potentials), shard_size):
-        shards.append(_TermShard(len(shards), tuple(mrf.potentials[lo:hi]), ()))
+    weighted = list(zip(mrf.potentials, mrf.potential_weights().tolist()))
+    for lo, hi in iter_slices(len(weighted), shard_size):
+        shards.append(_TermShard(len(shards), tuple(weighted[lo:hi]), ()))
     for lo, hi in iter_slices(len(mrf.constraints), shard_size):
         shards.append(_TermShard(len(shards), (), tuple(mrf.constraints[lo:hi])))
     merged = HingeLossMRF()
@@ -140,35 +139,6 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(shard_size):
         resolved = solver.solve()
         fresh = build_program(problem, CollectiveSettings(weights=weights))[0].ground()
         assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh)
-        _assert_identical_run(resolved, _ReferenceFlatSolver(fresh, settings).solve())
-
-
-@pytest.mark.parametrize("shard_size", [None, 5])
-def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(
-    shard_size, tmp_path
-):
-    # A grounding spilled from a ground in shards of *shard_size*,
-    # attached (mmap) and reweighted, must solve exactly like the frozen
-    # solver on a fresh, one-piece grounding at the new weights.
-    problem = _collective_problem()
-    base = CollectiveSettings()
-    writer = GroundedCollective(problem, base, shard_size=shard_size)
-    store = GroundingStore(tmp_path)
-    key = collective_structure_key(problem, base)
-    assert store.put(key, writer.mrf, extra=writer.store_extra())
-
-    stored = store.load(key)
-    assert stored is not None
-    attached = GroundedCollective.from_store(problem, base, stored)
-    assert attached.stats is None  # attached, not ground
-    settings = AdmmSettings(max_iterations=40, check_every=5)
-    solver = AdmmSolver(attached.mrf, settings)
-    for triple in _WEIGHT_TRIPLES:
-        weights = ObjectiveWeights(*(Fraction(w) for w in triple))
-        attached.reweight(weights)
-        resolved = solver.solve()
-        fresh = build_program(problem, CollectiveSettings(weights=weights))[0].ground()
-        assert mrf_fingerprint(attached.mrf) == mrf_fingerprint(fresh)
         _assert_identical_run(resolved, _ReferenceFlatSolver(fresh, settings).solve())
 
 

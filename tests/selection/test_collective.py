@@ -190,3 +190,41 @@ def test_warm_start_ignores_unknown_indices():
     warm = solve_collective(problem, warm_start={0: 1.0, 99: 0.25})
     assert warm.selected == cold.selected
     assert warm.objective == cold.objective
+
+
+def test_grounding_cache_serves_an_edit_chain_with_one_tier():
+    # The cache has one tier: a weight edit on the same problem hits and
+    # reweights; a data edit yields a new problem, which grounds fresh.
+    # Either way the solve equals one on a fresh ground.
+    from fractions import Fraction
+
+    from repro.ibench.mutations import AddTargetTuple, MutableSelection, RemoveTargetTuple
+    from repro.psl.sharding import mrf_fingerprint
+    from repro.selection.collective import CollectiveGroundingCache, GroundedCollective
+
+    ex = paper_example(extra_projects=5)
+    chain = MutableSelection(ex.source, ex.target, ex.candidates)
+    fact = sorted(chain.target, key=repr)[-1]
+    cache = CollectiveGroundingCache()
+    weights = [ObjectiveWeights(), ObjectiveWeights(explains=Fraction(3, 2))]
+    steps = [None, RemoveTargetTuple(fact), None, AddTargetTuple(fact), None]
+    expected_hits = 0
+    for step, edit in enumerate(steps):
+        if edit is not None:
+            chain.apply(edit)
+        else:
+            expected_hits += step > 0
+        settings = CollectiveSettings(weights=weights[step % 2], ground_shard_size=2)
+        grounded = cache.grounded(chain.problem, settings)
+        fresh = GroundedCollective(chain.problem, settings)
+        assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh.mrf)
+        a = solve_collective(chain.problem, settings, grounded=grounded)
+        b = solve_collective(chain.problem, settings, grounded=fresh)
+        assert (a.selected, a.objective, a.iterations) == (
+            b.selected,
+            b.objective,
+            b.iterations,
+        )
+        assert a.fractional == b.fractional
+    assert (cache.hits, cache.misses) == (expected_hits, 3)
+    assert cache.patch_hits == cache.disk_hits == 0

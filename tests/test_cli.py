@@ -124,7 +124,7 @@ def test_sweep_solver_knobs(capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("command", ["select", "sweep", "chain"])
+@pytest.mark.parametrize("command", ["select", "sweep"])
 def test_nonpositive_ground_shard_size_rejected(tmp_path, capsys, command, value):
     args = [command]
     if command == "select":
@@ -133,6 +133,36 @@ def test_nonpositive_ground_shard_size_rejected(tmp_path, capsys, command, value
         main([*args, "--ground-shard-size", value])
     assert exc.value.code == 2
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["select", "unused.json", "--grounding-store", "groundings"],
+            id="select-grounding-store",
+        ),
+        pytest.param(
+            ["sweep", "--grounding-store", "groundings"], id="sweep-grounding-store"
+        ),
+        pytest.param(
+            ["weight-sweep", "--grounding-store", "groundings"],
+            id="weight-sweep-grounding-store",
+        ),
+        pytest.param(
+            ["select", "unused.json", "--no-incremental"], id="select-no-incremental"
+        ),
+        pytest.param(["sweep", "--no-incremental"], id="sweep-no-incremental"),
+        pytest.param(["store", "ls", "groundings"], id="store-ls"),
+        pytest.param(["chain"], id="chain"),
+    ],
+)
+def test_removed_grounding_tier_options_exit_2(argv):
+    # The grounding cache has one tier (in-memory hit plus reweight, else
+    # a fresh ground): the disk-store and patch-tier surfaces are gone.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_generate_respects_kind_restriction(tmp_path, capsys):

@@ -43,26 +43,6 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
             }
         )
     )
-    (tmp_path / "grounding_store.json").write_text(
-        json.dumps(
-            {
-                "host_cpus": 4,
-                "ground_shard_size": 64,
-                "reps": 5,
-                "scenarios": {
-                    "large": {
-                        "num_potentials": 4100,
-                        "ground_seconds": 0.15,
-                        "attach_seconds": 0.02,
-                        "warm_reweight_seconds": 0.001,
-                        "speedup": 7.5,
-                        "entry_bytes": 800000,
-                        "bit_identical": True,
-                    }
-                },
-            }
-        )
-    )
     out = tmp_path / "TABLE.md"
     result = _run("--results-dir", str(tmp_path), "--output", str(out))
     assert result.returncode == 0, result.stderr
@@ -71,9 +51,6 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
     assert "10.0×" in text and "8.0×" in text
     assert "reweight many (sweep)" in text
     assert "reweight many (learning)" in text
-    assert "grounding store cold start (large)" in text
-    assert "7.5×" in text
-    assert "warm in-process reweight" in text  # the cold-vs-warm column
     assert "host CPUs: 4" in text
 
 
