@@ -14,13 +14,16 @@ to a from-scratch :func:`~repro.selection.metrics.
 build_selection_problem` of the mutated data — the equivalence suite
 asserts it.
 
-Cover degrees and error sets are *whole-target* functions (cover
-corroboration searches homomorphisms into all of J; ``creates`` tests
-membership against J), so they are recomputed for every candidate on any
-target edit — only the chase, the expensive half, is reused.  All stored
-tables keep candidate-*local* null labels; the merge shifts them into
-the global label space exactly as a serial build would, so equivalence
-survives any mix of reused and re-chased candidates.
+A target edit re-covers only the candidates it can touch: cover degrees
+and error sets are per-candidate functions of J, and adding or removing
+a J fact t can change candidate i's tables only if one of i's chase
+facts maps onto t (the argument is spelled out on
+:meth:`MutableSelection._retable`).  All stored tables keep
+candidate-*local* null labels; the merge shifts them into the global
+label space exactly as a serial build would, so equivalence survives
+any mix of reused and re-chased candidates.  A candidate's shifted chase
+and error set are reused while neither its tables nor its null offset
+moved.
 """
 
 from __future__ import annotations
@@ -94,11 +97,17 @@ class MutableSelection:
     CandidateTables` in their candidate-local null-label space plus
     private copies of the source/target instances.  :meth:`apply`
     recomputes only what an edit can touch and re-merges into a new
-    problem.
+    problem.  A failed edit raises :class:`SelectionError` and changes
+    nothing.
 
-    ``rechased_candidates`` counts the chases actually rerun across the
-    chain's lifetime — the work the delta replay saved is the chain
-    length times the candidate count, minus it.
+    Two counters record the work done across the chain's lifetime:
+    ``rechased_candidates`` counts the chases actually rerun (source
+    edits and flips), ``recovered_candidates`` the cover tables
+    recomputed on a reused chase (target edits).
+
+    Successive problems share the tables of candidates an edit did not
+    touch — cover dicts, shifted chase instances and error sets — so
+    they must be treated as read-only, as every consumer does.
     """
 
     def __init__(
@@ -118,8 +127,22 @@ class MutableSelection:
             evaluate_candidate(self.source, self.target, candidate, i, self._indexed)
             for i, candidate in enumerate(self.candidates)
         ]
+        # Per candidate, from the last merge: (tables, offset, shifted
+        # chase, shifted errors).
+        self._shifted: list[tuple | None] = [None] * len(self.candidates)
         self.rechased_candidates = 0
+        self.recovered_candidates = 0
         self.problem = self._merge()
+
+    def _shift(
+        self, table: CandidateTables, offset: int
+    ) -> tuple[Instance, frozenset[Fact]]:
+        """``table.shifted(offset)``, reused from the last merge if unchanged."""
+        kept = self._shifted[table.index]
+        if kept is None or kept[0] is not table or kept[1] != offset:
+            kept = (table, offset, *table.shifted(offset))
+            self._shifted[table.index] = kept
+        return kept[2], kept[3]
 
     def _merge(self) -> SelectionProblem:
         return merge_candidate_tables(
@@ -128,6 +151,7 @@ class MutableSelection:
             list(self.candidates),
             self._tables,
             j_facts=list(self._indexed.order),
+            shift=self._shift,
         )
 
     def _rechase(self, indices: Iterable[int]) -> None:
@@ -138,20 +162,36 @@ class MutableSelection:
                 self.source, self.target, self.candidates[i], i, self._indexed
             )
 
-    def _retable(self) -> None:
-        """Re-index the edited target and recompute every candidate's covers/errors.
+    def _retable(self, edited: Fact) -> None:
+        """Re-index the edited J; re-cover the candidates that reach *edited*.
 
-        The chases are reused, and J is indexed once for all of them.
-        Cover degrees and ``creates`` are invariant under null
-        relabeling, so computing them on the local-label chase facts
-        yields exactly what a from-scratch evaluation would.
+        Candidate i's tables test homomorphisms of i's own chase facts
+        into J, and J changed only at *edited*:
+
+        * ``covers[i][t]`` is non-zero only if a chase fact maps onto t,
+          so *edited*'s own entry needs a chase fact matching it;
+        * a null of a covering fact is corroborated by a witness, another
+          chase fact of i mapping into J with that null fixed.  A witness
+          that maps onto *edited* under a fixed null also maps onto it
+          with no null fixed, since fixing a null only adds constraints;
+        * ``creates(f)`` asks whether chase fact f has any image in J.
+
+        So if no chase fact of i matches *edited*
+        (:meth:`~repro.selection.metrics.CandidateTables.reaches`), every
+        test of i has the same answer against the old and the new J, and
+        i's cover table, error set and their order (J's repr order, in
+        which *edited* has no entry of i) stand.  The candidates it does
+        reach are re-covered on their reused chases; cover degrees and
+        ``creates`` are invariant under null relabeling, so the
+        local-label chase facts yield exactly what a from-scratch
+        evaluation would.
         """
         self._indexed = IndexedTarget.of(self.target)
-        tables = []
-        for table in self._tables:
-            covers, errors = cover_and_error_tables(table.chase_facts, self._indexed)
-            tables.append(replace(table, covers=covers, error_facts=errors))
-        self._tables = tables
+        for i, table in enumerate(self._tables):
+            if table.reaches(edited):
+                self.recovered_candidates += 1
+                covers, errors = cover_and_error_tables(table.chase_facts, self._indexed)
+                self._tables[i] = replace(table, covers=covers, error_facts=errors)
 
     def _body_relations(self, index: int) -> frozenset[str]:
         return frozenset(a.relation for a in self.candidates[index].body)
@@ -161,11 +201,11 @@ class MutableSelection:
         if isinstance(mutation, AddTargetTuple):
             if not self.target.add(mutation.fact):
                 raise SelectionError(f"{mutation.fact} already in target")
-            self._retable()
+            self._retable(mutation.fact)
         elif isinstance(mutation, RemoveTargetTuple):
             if not self.target.discard(mutation.fact):
                 raise SelectionError(f"{mutation.fact} not in target")
-            self._retable()
+            self._retable(mutation.fact)
         elif isinstance(mutation, (AddSourceTuple, RemoveSourceTuple)):
             if isinstance(mutation, AddSourceTuple):
                 if not self.source.add(mutation.fact):
@@ -183,10 +223,11 @@ class MutableSelection:
         elif isinstance(mutation, FlipCandidate):
             if not 0 <= mutation.index < len(self.candidates):
                 raise SelectionError(f"no candidate at index {mutation.index}")
+            if not isinstance(mutation.candidate, StTgd):
+                raise SelectionError(f"{mutation.candidate!r} is not an StTgd")
             self.candidates[mutation.index] = mutation.candidate
             self._rechase([mutation.index])
         else:
             raise SelectionError(f"unknown mutation {mutation!r}")
         self.problem = self._merge()
         return self.problem
-

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.chase.engine import chase
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, NullFactory
 from repro.errors import SelectionError
 from repro.homomorphism.covers import CoverComputer, creates, repr_order
-from repro.homomorphism.search import FactIndex
+from repro.homomorphism.search import FactIndex, fact_matches
 from repro.mappings.tgd import StTgd
 
 
@@ -174,6 +174,14 @@ class CandidateTables:
         errors = frozenset(f.substitute(remap) for f in self.error_facts)
         return chase_instance, errors
 
+    def reaches(self, target_fact: Fact) -> bool:
+        """Does some chase fact map onto *target_fact* (no nulls pre-bound)?
+
+        Only such a candidate's covers and errors can change when
+        *target_fact* is added to or removed from J.
+        """
+        return any(fact_matches(f, target_fact) is not None for f in self.chase_facts)
+
 
 class IndexedTarget(NamedTuple):
     """J prepared once for a whole build (or edit): its index and an order.
@@ -239,6 +247,9 @@ def merge_candidate_tables(
     candidates: Sequence[StTgd],
     results: Iterable[CandidateTables],
     j_facts: list[Fact] | None = None,
+    shift: Callable[
+        [CandidateTables, int], tuple[Instance, frozenset[Fact]]
+    ] = CandidateTables.shifted,
 ) -> SelectionProblem:
     """Deterministically merge per-candidate tables into a SelectionProblem.
 
@@ -246,6 +257,9 @@ def merge_candidate_tables(
     candidate's local null labels are shifted past all labels consumed by
     earlier candidates — exactly the labels one shared factory would give.
     *j_facts* is *target* in repr order, when the caller already sorted it.
+    *shift* computes one candidate's shifted chase and errors (a caller
+    merging many revisions may memoize it).  The problem shares each
+    result's cover table and the shifted objects; no consumer mutates them.
     """
     ordered = sorted(results, key=lambda r: r.index)
     if [r.index for r in ordered] != list(range(len(candidates))):
@@ -255,10 +269,10 @@ def merge_candidate_tables(
     chases: list[Instance] = []
     offset = 0
     for result in ordered:
-        chase_instance, errors = result.shifted(offset)
+        chase_instance, errors = shift(result, offset)
         offset += result.nulls_used
         chases.append(chase_instance)
-        covers_tables.append(dict(result.covers))
+        covers_tables.append(result.covers)
         error_sets.append(errors)
 
     return SelectionProblem(
